@@ -6,11 +6,15 @@
 // the tail's enters iff it beats the tail on the id order (TopKBetter is a
 // total order, so Offer is deterministic and independent of arrival
 // order). Every pruning stage upstream must therefore keep candidates
-// whose score can still *equal* Threshold() — which is why those prunes go
-// through the exact counting predicates of common/predicates.h and never
-// through a rounded quotient: the sequential drivers and the parallel
-// drivers (thread-local queues merged via Offer at the end) then resolve
-// boundary ties identically.
+// whose score can still *tie* the tail's. Two things guarantee it. The
+// prunes go through the exact counting predicates of common/predicates.h,
+// never through a rounded quotient. And Threshold() is not the tail's
+// score itself but a bound no greater than the exact ratio of any pair
+// whose rounded score equals it: the tail score fl(m / T) may round *up*
+// (1/10 does), and pruning an exact m' / T' = m / T against it would drop
+// a tie before Offer could break it on the ids. The sequential drivers
+// and the parallel drivers (thread-local queues merged via Offer at the
+// end) then resolve boundary ties identically.
 
 #ifndef STPS_CORE_RESULT_QUEUE_H_
 #define STPS_CORE_RESULT_QUEUE_H_
@@ -18,6 +22,7 @@
 #include <set>
 #include <vector>
 
+#include "common/predicates.h"
 #include "core/similarity.h"
 
 namespace stps {
@@ -34,8 +39,13 @@ class ResultQueue {
 
   bool full() const { return pairs_.size() >= k_; }
 
-  /// The score a pair must reach to possibly enter (0 until full).
-  double Threshold() const { return full() ? Tail().score : 0.0; }
+  /// The prune threshold of a candidate (0 until full): a pair whose
+  /// exact sigma is below it cannot enter. One ULP under the tail score
+  /// (ThresholdFromScore), so it never exceeds the exact ratio of a pair
+  /// that ties the tail.
+  double Threshold() const {
+    return full() ? ThresholdFromScore(Tail().score) : 0.0;
+  }
 
   /// Offers a pair; keeps only the best k.
   void Offer(const ScoredUserPair& pair) {

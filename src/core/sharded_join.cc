@@ -5,7 +5,7 @@
 #include "common/macros.h"
 #include "common/prefetch.h"
 #include "core/parallel_util.h"
-#include "core/sppj_f_parallel.h"
+#include "core/sppj_f.h"
 #include "core/user_grid.h"
 
 namespace stps {
@@ -96,8 +96,7 @@ std::vector<ScoredUserPair> ShardedSTPSJoin(const ObjectDatabase& db,
 
   // Shared read-only state, built once (same as SPPJFParallel).
   const UserGrid grid(db, query.eps_loc);
-  SpatioTextualGridIndex index;
-  SPPJFBuildFullIndex(db, grid, &index);
+  const SpatioTextualGridIndex index(grid);
 
   const std::vector<ShardRange> ranges = PlanUserShards(db, shards);
   if (prefetch) {

@@ -9,25 +9,68 @@
 
 namespace stps {
 
-namespace {
+void SPPJFProcessUser(const ObjectDatabase& db, const UserGrid& grid,
+                      const SpatioTextualGridIndex& index,
+                      const STPSQuery& query, UserId u,
+                      std::vector<ScoredUserPair>* out, JoinStats* stats,
+                      bool use_sigma_bound, bool use_refine_bound) {
+  const MatchThresholds t = query.match_thresholds();
+  const UserLayout& cu = grid.UserCells(u);
+  const size_t nu = db.UserObjectCount(u);
+  const uint32_t rank_u = index.Rank(u);
+  // Per-thread epoch-stamped accumulator (user_grid.h): starting a user
+  // costs O(1), no map rehash or per-call allocation, and the refine order
+  // is ascending by id.
+  thread_local UserCandidateTable<CandidateCells> candidates;
+  candidates.BeginRound(db.num_users());
+  CollectEarlierCandidates(grid.geometry(), index, cu, rank_u, &candidates,
+                           stats);
+  if (stats != nullptr) {
+    // Where did the earlier users go? Co-located users without a shared
+    // token were pruned textually, the rest spatially.
+    const size_t colocated =
+        CountColocatedEarlierUsers(grid.geometry(), index, cu, u);
+    stats->pairs_candidate += candidates.size();
+    stats->pairs_pruned_textual += colocated - candidates.size();
+    stats->pairs_pruned_spatial += rank_u - colocated;
+  }
 
-// Object count over the supporting cells of a candidate pair — the
-// sigma_bar bound's integer numerator, so the prune decision is the exact
-// SigmaAtLeast predicate, not a rounded quotient.
-size_t SigmaBoundNumerator(const CandidateCells& cells,
-                           const UserLayout& mine,
-                           const UserLayout& theirs) {
-  size_t m = 0;
-  for (const int64_t c : cells.my_cells) {
-    m += PartitionObjectCount(mine, c);
+  // Refine each surviving candidate (ascending by id).
+  for (const UserId candidate : candidates.SortedTouched()) {
+    CandidateCells& cells = candidates[candidate];
+    const UserLayout& cv = grid.UserCells(candidate);
+    const size_t nv = db.UserObjectCount(candidate);
+    SortUnique(&cells.my_cells);
+    SortUnique(&cells.their_cells);
+    if (use_sigma_bound) {
+      // The sigma_bar bound's integer numerator: the object count over
+      // the supporting cells of the pair. Exact counting predicates
+      // throughout (common/predicates.h), so every driver resolves a
+      // pair whose sigma equals eps_u identically.
+      size_t m = 0;
+      for (const int64_t c : cells.my_cells) {
+        m += PartitionObjectCount(cu, c);
+      }
+      for (const int64_t c : cells.their_cells) {
+        m += PartitionObjectCount(cv, c);
+      }
+      if (!SigmaAtLeast(m, nu + nv, query.eps_u)) {
+        if (stats != nullptr) ++stats->pairs_pruned_count;
+        continue;
+      }
+    }
+    if (stats != nullptr) ++stats->pairs_verified;
+    size_t matched = 0;
+    const double sigma =
+        PPJBPair(cu, nu, cv, nv, grid.geometry(), t,
+                 use_refine_bound ? query.eps_u : 0.0, stats, &matched);
+    if (SigmaAtLeast(matched, nu + nv, query.eps_u)) {
+      out->push_back({std::min(u, candidate), std::max(u, candidate),
+                      sigma});
+      if (stats != nullptr) ++stats->matches_found;
+    }
   }
-  for (const int64_t c : cells.their_cells) {
-    m += PartitionObjectCount(theirs, c);
-  }
-  return m;
 }
-
-}  // namespace
 
 std::vector<ScoredUserPair> SPPJFAblation(const ObjectDatabase& db,
                                           const STPSQuery& query,
@@ -43,86 +86,10 @@ std::vector<ScoredUserPair> SPPJFAblation(const ObjectDatabase& db,
   std::vector<ScoredUserPair> result;
   if (db.num_objects() == 0) return result;
   const UserGrid grid(db, query.eps_loc);
-  const MatchThresholds t = query.match_thresholds();
-  const size_t n = db.num_users();
-
-  SpatioTextualGridIndex index;
-  std::vector<CellId> neighbors;
-  TokenVector tokens;
-  // Dense epoch-stamped accumulator (user_grid.h): reused across probing
-  // users with an O(1) reset instead of a map rehash/clear, and with
-  // deterministic ascending refine order.
-  UserCandidateTable<CandidateCells> candidates;
-
-  for (UserId u = 0; u < n; ++u) {
-    const UserLayout& cu = grid.UserCells(u);
-    const size_t nu = db.UserObjectCount(u);
-    candidates.BeginRound(n);
-
-    // Filter: probe the distinct tokens of every cell of u against the
-    // inverted lists of the cell and its neighbours.
-    for (const UserPartition& cell : cu) {
-      DistinctTokens(cell.objects, &tokens);
-      neighbors.clear();
-      grid.geometry().AppendNeighborhood(cell.id, /*include_self=*/true,
-                                         &neighbors);
-      for (const CellId other : neighbors) {
-        if (stats != nullptr) ++stats->cells_visited;
-        for (const TokenId token : tokens) {
-          const std::vector<UserId>* users = index.TokenUsers(other, token);
-          if (users == nullptr) continue;
-          for (const UserId candidate : *users) {
-            CandidateCells& cc = candidates[candidate];
-            // Cells of u arrive in ascending order, so a back() check
-            // fully deduplicates my_cells; their_cells interleaves, so
-            // the check only limits growth — SortUnique below is the
-            // authoritative dedup for both.
-            if (cc.my_cells.empty() || cc.my_cells.back() != cell.id) {
-              cc.my_cells.push_back(cell.id);
-            }
-            if (cc.their_cells.empty() || cc.their_cells.back() != other) {
-              cc.their_cells.push_back(other);
-            }
-          }
-        }
-      }
-    }
-    if (stats != nullptr) {
-      // Where did the earlier users go? Co-located users without a shared
-      // token were pruned textually, the rest spatially.
-      const size_t colocated =
-          CountColocatedEarlierUsers(grid.geometry(), index, cu, u);
-      stats->pairs_candidate += candidates.size();
-      stats->pairs_pruned_textual += colocated - candidates.size();
-      stats->pairs_pruned_spatial += u - colocated;
-    }
-    index.AddUser(u, cu);
-
-    // Refine each surviving candidate (ascending by id).
-    for (const UserId candidate : candidates.SortedTouched()) {
-      CandidateCells& cells = candidates[candidate];
-      const UserLayout& cv = grid.UserCells(candidate);
-      const size_t nv = db.UserObjectCount(candidate);
-      SortUnique(&cells.my_cells);
-      SortUnique(&cells.their_cells);
-      if (use_sigma_bound) {
-        const size_t m = SigmaBoundNumerator(cells, cu, cv);
-        if (!SigmaAtLeast(m, nu + nv, query.eps_u)) {
-          if (stats != nullptr) ++stats->pairs_pruned_count;
-          continue;
-        }
-      }
-      if (stats != nullptr) ++stats->pairs_verified;
-      size_t matched = 0;
-      const double sigma =
-          PPJBPair(cu, nu, cv, nv, grid.geometry(), t,
-                   use_refine_bound ? query.eps_u : 0.0, stats, &matched);
-      if (SigmaAtLeast(matched, nu + nv, query.eps_u)) {
-        result.push_back({std::min(u, candidate), std::max(u, candidate),
-                          sigma});
-        if (stats != nullptr) ++stats->matches_found;
-      }
-    }
+  const SpatioTextualGridIndex index(grid);
+  for (UserId u = 0; u < db.num_users(); ++u) {
+    SPPJFProcessUser(db, grid, index, query, u, &result, stats,
+                     use_sigma_bound, use_refine_bound);
   }
   std::sort(result.begin(), result.end(), PairIdLess);
   return result;

@@ -1,107 +1,10 @@
 #include "core/sppj_f_parallel.h"
 
-#include <algorithm>
-#include <atomic>
-#include <thread>
-
-#include "common/predicates.h"
 #include "core/parallel_util.h"
-#include "core/ppjb.h"
+#include "core/sppj_f.h"
 #include "core/user_grid.h"
 
 namespace stps {
-
-// One worker's pass over a user: identical filter/refine logic to the
-// sequential S-PPJ-F, except that the index is complete and candidates
-// are restricted to earlier users in the total order.
-void SPPJFProcessUser(const ObjectDatabase& db, const UserGrid& grid,
-                      const SpatioTextualGridIndex& index,
-                      const STPSQuery& query, UserId u,
-                      std::vector<ScoredUserPair>* out, JoinStats* stats) {
-  const MatchThresholds t = query.match_thresholds();
-  const UserLayout& cu = grid.UserCells(u);
-  const size_t nu = db.UserObjectCount(u);
-  // Per-worker epoch-stamped accumulator and scratch (user_grid.h):
-  // starting a user costs O(1), no map rehash or per-call allocation.
-  thread_local UserCandidateTable<CandidateCells> candidates;
-  candidates.BeginRound(db.num_users());
-  thread_local std::vector<CellId> neighbors;
-
-  thread_local TokenVector tokens;
-  for (const UserPartition& cell : cu) {
-    DistinctTokens(cell.objects, &tokens);
-    neighbors.clear();
-    grid.geometry().AppendNeighborhood(cell.id, /*include_self=*/true,
-                                       &neighbors);
-    for (const CellId other : neighbors) {
-      if (stats != nullptr) ++stats->cells_visited;
-      for (const TokenId token : tokens) {
-        const std::vector<UserId>* users = index.TokenUsers(other, token);
-        if (users == nullptr) continue;
-        for (const UserId candidate : *users) {
-          if (candidate >= u) break;  // lists are ascending by user id
-          CandidateCells& cc = candidates[candidate];
-          // Opportunistic growth limiting only; SortUnique below is the
-          // authoritative dedup (their_cells interleaves across the
-          // outer cell loop, so back() checks cannot catch everything).
-          if (cc.my_cells.empty() || cc.my_cells.back() != cell.id) {
-            cc.my_cells.push_back(cell.id);
-          }
-          if (cc.their_cells.empty() || cc.their_cells.back() != other) {
-            cc.their_cells.push_back(other);
-          }
-        }
-      }
-    }
-  }
-  if (stats != nullptr) {
-    const size_t colocated =
-        CountColocatedEarlierUsers(grid.geometry(), index, cu, u);
-    stats->pairs_candidate += candidates.size();
-    stats->pairs_pruned_textual += colocated - candidates.size();
-    stats->pairs_pruned_spatial += u - colocated;
-  }
-
-  for (const UserId candidate : candidates.SortedTouched()) {
-    CandidateCells& cells = candidates[candidate];
-    const UserLayout& cv = grid.UserCells(candidate);
-    const size_t nv = db.UserObjectCount(candidate);
-    SortUnique(&cells.my_cells);
-    SortUnique(&cells.their_cells);
-    size_t m = 0;
-    for (const int64_t c : cells.my_cells) {
-      m += PartitionObjectCount(cu, c);
-    }
-    for (const int64_t c : cells.their_cells) {
-      m += PartitionObjectCount(cv, c);
-    }
-    // Exact counting predicates throughout (common/predicates.h): the
-    // sigma_bar prune and the final membership test must agree with the
-    // sequential driver decision-for-decision, or the two result sets
-    // diverge at pairs whose sigma equals eps_u.
-    if (!SigmaAtLeast(m, nu + nv, query.eps_u)) {
-      if (stats != nullptr) ++stats->pairs_pruned_count;
-      continue;
-    }
-    if (stats != nullptr) ++stats->pairs_verified;
-    size_t matched = 0;
-    const double sigma = PPJBPair(cu, nu, cv, nv, grid.geometry(), t,
-                                  query.eps_u, stats, &matched);
-    if (SigmaAtLeast(matched, nu + nv, query.eps_u)) {
-      out->push_back({candidate, u, sigma});
-      if (stats != nullptr) ++stats->matches_found;
-    }
-  }
-}
-
-// Builds the complete spatio-textual index (users in id order, so the
-// inverted lists are ascending and the u' < u filter can stop early).
-void SPPJFBuildFullIndex(const ObjectDatabase& db, const UserGrid& grid,
-                         SpatioTextualGridIndex* index) {
-  for (UserId u = 0; u < db.num_users(); ++u) {
-    index->AddUser(u, grid.UserCells(u));
-  }
-}
 
 std::vector<ScoredUserPair> SPPJFParallel(const ObjectDatabase& db,
                                           const STPSQuery& query,
@@ -113,8 +16,7 @@ std::vector<ScoredUserPair> SPPJFParallel(const ObjectDatabase& db,
   if (db.num_objects() == 0) return {};
 
   const UserGrid grid(db, query.eps_loc);
-  SpatioTextualGridIndex index;
-  SPPJFBuildFullIndex(db, grid, &index);
+  const SpatioTextualGridIndex index(grid);
 
   ThreadPool pool(parallel.num_threads);
   const size_t slots = static_cast<size_t>(pool.num_threads());
@@ -136,48 +38,6 @@ std::vector<ScoredUserPair> SPPJFParallel(const ObjectDatabase& db,
                                           const STPSQuery& query,
                                           int num_threads) {
   return SPPJFParallel(db, query, ParallelOptions{num_threads, 0});
-}
-
-std::vector<ScoredUserPair> SPPJFParallelHandRolled(const ObjectDatabase& db,
-                                                    const STPSQuery& query,
-                                                    int num_threads) {
-  STPS_CHECK(query.eps_doc > 0.0);
-  STPS_CHECK(query.eps_u > 0.0);
-  STPS_CHECK(num_threads >= 1);
-  std::vector<ScoredUserPair> result;
-  if (db.num_objects() == 0) return result;
-
-  const UserGrid grid(db, query.eps_loc);
-  SpatioTextualGridIndex index;
-  SPPJFBuildFullIndex(db, grid, &index);
-
-  const size_t n = db.num_users();
-  std::atomic<uint32_t> next_user{0};
-  std::vector<std::vector<ScoredUserPair>> per_thread(
-      static_cast<size_t>(num_threads));
-  const auto worker = [&](int thread_index) {
-    std::vector<ScoredUserPair>& out = per_thread[thread_index];
-    for (;;) {
-      const uint32_t u = next_user.fetch_add(1, std::memory_order_relaxed);
-      if (u >= n) break;
-      SPPJFProcessUser(db, grid, index, query, u, &out, nullptr);
-    }
-  };
-  if (num_threads == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(num_threads);
-    for (int i = 0; i < num_threads; ++i) {
-      threads.emplace_back(worker, i);
-    }
-    for (auto& t : threads) t.join();
-  }
-  for (const auto& partial : per_thread) {
-    result.insert(result.end(), partial.begin(), partial.end());
-  }
-  std::sort(result.begin(), result.end(), PairIdLess);
-  return result;
 }
 
 }  // namespace stps

@@ -1,11 +1,12 @@
 // Multi-threaded S-PPJ-F — a shared-memory step toward the paper's
 // future-work goal of distributed STPSJoin processing.
 //
-// Unlike the sequential algorithm, the spatio-textual grid index is built
-// *once* over all users; workers then process disjoint user subsets,
-// restricting candidates to users earlier in the total order, so every
-// pair is evaluated by exactly one worker. All shared state is immutable
-// during the parallel phase. Scheduling runs on the work-stealing
+// The spatio-textual grid index is built once over all users, as in the
+// sequential driver; workers then run the same per-user pass
+// (SPPJFProcessUser, core/sppj_f.h) over disjoint user subsets. Each pass
+// only considers users earlier in the total order, so every pair is
+// evaluated by exactly one worker. All shared state is immutable during
+// the parallel phase. Scheduling runs on the work-stealing
 // ThreadPool (common/thread_pool.h); results and JoinStats counters are
 // accumulated per worker slot and merged at the end, so the output is
 // bit-identical to SPPJF at any thread count.
@@ -22,25 +23,6 @@
 
 namespace stps {
 
-class UserGrid;                 // core/user_grid.h
-class SpatioTextualGridIndex;   // core/user_grid.h
-
-/// One user's filter/refine pass of the parallel S-PPJ-F: candidates are
-/// restricted to users earlier in the total order, so each pair is
-/// evaluated exactly once no matter how users are distributed over
-/// workers. Exported as the unit of work shared by SPPJFParallel and the
-/// sharded driver (core/sharded_join.h) — one implementation is what
-/// makes their results bit-identical.
-void SPPJFProcessUser(const ObjectDatabase& db, const UserGrid& grid,
-                      const SpatioTextualGridIndex& index,
-                      const STPSQuery& query, UserId u,
-                      std::vector<ScoredUserPair>* out, JoinStats* stats);
-
-/// Builds the complete spatio-textual index over all users (ascending id
-/// order, so inverted lists ascend and the u' < u filter can stop early).
-void SPPJFBuildFullIndex(const ObjectDatabase& db, const UserGrid& grid,
-                         SpatioTextualGridIndex* index);
-
 /// Evaluates the STPSJoin query on the work-stealing pool. Produces the
 /// same result as SPPJF (sorted by (a, b), exact scores). Preconditions:
 /// eps_doc > 0, eps_u > 0, parallel.num_threads >= 1.
@@ -53,14 +35,6 @@ std::vector<ScoredUserPair> SPPJFParallel(const ObjectDatabase& db,
 std::vector<ScoredUserPair> SPPJFParallel(const ObjectDatabase& db,
                                           const STPSQuery& query,
                                           int num_threads);
-
-/// The pre-ThreadPool implementation — a plain std::thread loop pulling
-/// users off one atomic counter. Kept only as the baseline for
-/// bench_parallel_scaling (the pool must not be slower); new callers use
-/// SPPJFParallel.
-std::vector<ScoredUserPair> SPPJFParallelHandRolled(const ObjectDatabase& db,
-                                                    const STPSQuery& query,
-                                                    int num_threads);
 
 }  // namespace stps
 

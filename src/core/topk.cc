@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <set>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 
 #include "common/predicates.h"
 #include "core/parallel_util.h"
@@ -33,43 +31,43 @@ std::vector<UserId> OrderBySize(const ObjectDatabase& db) {
 // TOPK-S-PPJ-S ordering: descending popularity score
 // s_u = sum over o in Du of s_cell(o), with
 // s_c = |users having objects in c or an adjacent cell|.
-std::vector<UserId> OrderByPopularity(const ObjectDatabase& db,
-                                      const UserGrid& grid) {
-  // Occupancy: cell -> distinct users.
-  std::unordered_map<CellId, std::vector<UserId>> cell_users;
-  for (UserId u = 0; u < db.num_users(); ++u) {
+std::vector<UserId> OrderByPopularity(const UserGrid& grid) {
+  // Occupancy: the whole-cell user lists of an index over all users.
+  const SpatioTextualGridIndex occupancy(grid);
+  const size_t n = grid.num_users();
+  std::vector<CellId> cells;
+  for (UserId u = 0; u < n; ++u) {
     for (const UserPartition& cell : grid.UserCells(u)) {
-      cell_users[cell.id].push_back(u);  // distinct: one entry per (u, cell)
+      cells.push_back(cell.id);
     }
   }
-  // Cell scores. Integer throughout: the scores are user counts, and the
-  // per-user sums below accumulate in cell_users' unordered_map iteration
-  // order — double summation would make the visit order (and thus the
-  // whole TOPK-S-PPJ-S traversal) platform-dependent; integer addition is
-  // associative, so the order is provably irrelevant.
-  std::unordered_map<CellId, uint64_t> cell_score;
+  SortUnique(&cells);
+  // Cell scores, aligned with `cells`. Integer throughout: the scores are
+  // user counts, and integer sums cannot depend on the visit order.
+  std::vector<uint64_t> cell_score(cells.size());
   std::vector<CellId> neighbors;
-  std::unordered_set<UserId> distinct;
-  for (const auto& [cell, users] : cell_users) {
+  UserStampSet distinct;
+  for (size_t i = 0; i < cells.size(); ++i) {
     neighbors.clear();
-    grid.geometry().AppendNeighborhood(cell, /*include_self=*/true,
+    grid.geometry().AppendNeighborhood(cells[i], /*include_self=*/true,
                                        &neighbors);
-    distinct.clear();
-    for (const CellId n : neighbors) {
-      const auto it = cell_users.find(n);
-      if (it == cell_users.end()) continue;
-      distinct.insert(it->second.begin(), it->second.end());
+    distinct.BeginRound(n);
+    for (const CellId other : neighbors) {
+      for (const UserId v : occupancy.CellUsers(other)) distinct.Insert(v);
     }
-    cell_score[cell] = distinct.size();
+    cell_score[i] = distinct.size();
   }
   // User scores: every object contributes its cell's score.
-  std::vector<uint64_t> user_score(db.num_users(), 0);
-  for (UserId u = 0; u < db.num_users(); ++u) {
+  std::vector<uint64_t> user_score(n, 0);
+  for (UserId u = 0; u < n; ++u) {
     for (const UserPartition& cell : grid.UserCells(u)) {
-      user_score[u] += cell_score[cell.id] * cell.objects.size();
+      const size_t i = static_cast<size_t>(
+          std::lower_bound(cells.begin(), cells.end(), cell.id) -
+          cells.begin());
+      user_score[u] += cell_score[i] * cell.objects.size();
     }
   }
-  std::vector<UserId> order(db.num_users());
+  std::vector<UserId> order(n);
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(), [&user_score](UserId a, UserId b) {
     if (user_score[a] != user_score[b]) return user_score[a] > user_score[b];
@@ -79,17 +77,16 @@ std::vector<UserId> OrderByPopularity(const ObjectDatabase& db,
 }
 
 // TOPK-S-PPJ-P prefilter: the number of objects of u that have a token
-// appearing (from a previously processed user) in their own or an
-// adjacent cell — an overestimate of |M(Du, D_{U'})|. With an incremental
-// index (`rank` == nullptr) every indexed user counts; with the full
-// index of the parallel driver, only inverted-list entries of earlier
-// rank count — the lists are in rank order, so checking the front
-// suffices and the estimate equals the incremental one.
+// appearing, for a user ranked before u, in their own or an adjacent
+// cell — an overestimate of |M(Du, D_{U'})|. The index lists ascend by
+// rank, so checking a list's front entry suffices.
 size_t EstimateMatchableObjects(const UserLayout& cu,
                                 const GridGeometry& geometry,
                                 const SpatioTextualGridIndex& index,
-                                const std::vector<uint32_t>* rank,
                                 uint32_t rank_u) {
+  const auto has_earlier = [&index, rank_u](std::span<const UserId> users) {
+    return !users.empty() && index.Rank(users.front()) < rank_u;
+  };
   size_t count = 0;
   // Hoisted per-thread scratch (runs once per probing user in the -P
   // variants, sequential and pool-parallel alike).
@@ -98,21 +95,20 @@ size_t EstimateMatchableObjects(const UserLayout& cu,
   for (const UserPartition& cell : cu) {
     neighbors.clear();
     geometry.AppendNeighborhood(cell.id, /*include_self=*/true, &neighbors);
-    // Drop neighbour cells with no indexed objects at all.
+    // Drop neighbour cells with no objects of earlier users at all.
     occupied.clear();
     for (const CellId n : neighbors) {
-      if (index.CellOccupied(n)) occupied.push_back(n);
+      if (has_earlier(index.CellUsers(n))) occupied.push_back(n);
     }
     if (occupied.empty()) continue;
     for (const ObjectRef& ref : cell.objects) {
       bool matchable = false;
       for (const TokenId t : ref.object->doc) {
         for (const CellId n : occupied) {
-          const std::vector<UserId>* users = index.TokenUsers(n, t);
-          if (users == nullptr) continue;
-          if (rank != nullptr && (*rank)[users->front()] >= rank_u) continue;
-          matchable = true;
-          break;
+          if (has_earlier(index.TokenUsers(n, t))) {
+            matchable = true;
+            break;
+          }
         }
         if (matchable) break;
       }
@@ -120,48 +116,6 @@ size_t EstimateMatchableObjects(const UserLayout& cu,
     }
   }
   return count;
-}
-
-// Token-probes the cells of u against the index. With `rank` == nullptr
-// (incremental index) every indexed user is a candidate; otherwise only
-// users of earlier rank are, and the rank-ordered inverted lists allow an
-// early break. `candidates` must have had BeginRound called for this user.
-void CollectCandidates(const UserGrid& grid,
-                       const SpatioTextualGridIndex& index,
-                       const UserLayout& cu,
-                       const std::vector<uint32_t>* rank, uint32_t rank_u,
-                       UserCandidateTable<CandidateCells>* candidates,
-                       JoinStats* stats) {
-  thread_local std::vector<CellId> neighbors;
-  thread_local TokenVector tokens;
-  for (const UserPartition& cell : cu) {
-    DistinctTokens(cell.objects, &tokens);
-    neighbors.clear();
-    grid.geometry().AppendNeighborhood(cell.id, /*include_self=*/true,
-                                       &neighbors);
-    for (const CellId other : neighbors) {
-      if (stats != nullptr) ++stats->cells_visited;
-      for (const TokenId token : tokens) {
-        const std::vector<UserId>* users = index.TokenUsers(other, token);
-        if (users == nullptr) continue;
-        for (const UserId candidate : *users) {
-          if (rank != nullptr && (*rank)[candidate] >= rank_u) {
-            break;  // lists are ascending by rank
-          }
-          CandidateCells& cc = (*candidates)[candidate];
-          // Opportunistic growth limiting only; SortUnique in the refine
-          // step is the authoritative dedup (their_cells interleaves
-          // across the outer cell loop).
-          if (cc.my_cells.empty() || cc.my_cells.back() != cell.id) {
-            cc.my_cells.push_back(cell.id);
-          }
-          if (cc.their_cells.empty() || cc.their_cells.back() != other) {
-            cc.their_cells.push_back(other);
-          }
-        }
-      }
-    }
-  }
 }
 
 // Refines u's candidates against `queue`: the sigma_bar count bound once
@@ -192,7 +146,7 @@ void RefineCandidates(const ObjectDatabase& db, const UserGrid& grid,
       for (const int64_t c : cells.their_cells) {
         m += PartitionObjectCount(cv, c);
       }
-      // Prune only when sigma_bar is exactly below the tail score: the
+      // Prune only when sigma_bar is exactly below the threshold: the
       // rounded quotient m / (nu + nv) could dip one ULP under eps_u for
       // a pair whose bound equals it, dropping a legitimate tie.
       if (!SigmaAtLeast(m, nu + nv, eps_u)) {
@@ -209,6 +163,44 @@ void RefineCandidates(const ObjectDatabase& db, const UserGrid& grid,
   }
 }
 
+// One user's top-k pass: user order[r] against `queue`. The Lemma 2
+// prefilter (-P), then token probing of the users ranked before it, then
+// refinement. The sequential driver runs it against the global queue, the
+// parallel driver against a worker's local queue.
+void TopKProcessUser(const ObjectDatabase& db, const UserGrid& grid,
+                     const SpatioTextualGridIndex& index,
+                     const MatchThresholds& t, TopKVariant variant,
+                     std::span<const UserId> order, uint32_t r,
+                     ResultQueue* queue, JoinStats* stats) {
+  const UserId u = order[r];
+  const UserLayout& cu = grid.UserCells(u);
+  const size_t nu = db.UserObjectCount(u);
+
+  // TOPK-S-PPJ-P: Lemma 2 prefilter. Valid because every earlier user u'
+  // has |Du'| <= |Du| under the ascending-size order, so the largest
+  // earlier size is the previous user's. A local queue of the parallel
+  // driver holds k real pairs, so anything below its threshold is outside
+  // the global top-k too.
+  if (variant == TopKVariant::kP && r > 0 && queue->full()) {
+    const size_t max_prev_size = db.UserObjectCount(order[r - 1]);
+    if (max_prev_size > 0) {
+      const size_t matchable =
+          EstimateMatchableObjects(cu, grid.geometry(), index, r);
+      // Exact counting form of sigma_bar_u < Threshold() — ties survive.
+      if (!SigmaAtLeast(matchable + max_prev_size, nu + max_prev_size,
+                        queue->Threshold())) {
+        return;
+      }
+    }
+  }
+
+  thread_local UserCandidateTable<CandidateCells> candidates;
+  candidates.BeginRound(db.num_users());
+  CollectEarlierCandidates(grid.geometry(), index, cu, r, &candidates,
+                           stats);
+  RefineCandidates(db, grid, t, u, cu, nu, &candidates, queue, stats);
+}
+
 }  // namespace
 
 std::vector<ScoredUserPair> TopKSTPSJoin(const ObjectDatabase& db,
@@ -223,37 +215,11 @@ std::vector<ScoredUserPair> TopKSTPSJoin(const ObjectDatabase& db,
   const UserGrid grid(db, query.eps_loc);
   const MatchThresholds t = query.match_thresholds();
   const std::vector<UserId> order = variant == TopKVariant::kS
-                                        ? OrderByPopularity(db, grid)
+                                        ? OrderByPopularity(grid)
                                         : OrderBySize(db);
-
-  SpatioTextualGridIndex index;
-  UserCandidateTable<CandidateCells> candidates;
-  size_t max_prev_size = 0;
-
-  for (const UserId u : order) {
-    const UserLayout& cu = grid.UserCells(u);
-    const size_t nu = db.UserObjectCount(u);
-
-    // TOPK-S-PPJ-P: Lemma 2 prefilter. Valid because every previously
-    // processed user u' has |Du'| <= |Du| under the ascending-size order.
-    if (variant == TopKVariant::kP && queue.full() && max_prev_size > 0) {
-      const size_t matchable = EstimateMatchableObjects(
-          cu, grid.geometry(), index, /*rank=*/nullptr, /*rank_u=*/0);
-      // Exact counting form of sigma_bar_u < Threshold() — ties survive.
-      if (!SigmaAtLeast(matchable + max_prev_size, nu + max_prev_size,
-                        queue.Threshold())) {
-        index.AddUser(u, cu);
-        max_prev_size = std::max(max_prev_size, nu);
-        continue;
-      }
-    }
-
-    candidates.BeginRound(db.num_users());
-    CollectCandidates(grid, index, cu, /*rank=*/nullptr, /*rank_u=*/0,
-                      &candidates, stats);
-    index.AddUser(u, cu);
-    max_prev_size = std::max(max_prev_size, nu);
-    RefineCandidates(db, grid, t, u, cu, nu, &candidates, &queue, stats);
+  const SpatioTextualGridIndex index(grid, order);
+  for (uint32_t r = 0; r < order.size(); ++r) {
+    TopKProcessUser(db, grid, index, t, variant, order, r, &queue, stats);
   }
   return queue.TakeSorted();
 }
@@ -270,16 +236,9 @@ std::vector<ScoredUserPair> TopKSTPSJoinParallel(
   const UserGrid grid(db, query.eps_loc);
   const MatchThresholds t = query.match_thresholds();
   const std::vector<UserId> order = variant == TopKVariant::kS
-                                        ? OrderByPopularity(db, grid)
+                                        ? OrderByPopularity(grid)
                                         : OrderBySize(db);
-  std::vector<uint32_t> rank(db.num_users(), 0);
-  for (uint32_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
-
-  // Full index, inserted in rank order: the inverted lists ascend by
-  // rank, so candidate collection sees exactly the users the sequential
-  // incremental index would hold.
-  SpatioTextualGridIndex index;
-  for (const UserId u : order) index.AddUser(u, grid.UserCells(u));
+  const SpatioTextualGridIndex index(grid, order);
 
   ThreadPool pool(parallel.num_threads);
   const size_t slots = static_cast<size_t>(pool.num_threads());
@@ -287,38 +246,12 @@ std::vector<ScoredUserPair> TopKSTPSJoinParallel(
   std::vector<JoinStats> worker_stats(slots);
   pool.ParallelForEach(
       0, order.size(), parallel.grain, [&](size_t r, int worker) {
-        const UserId u = order[r];
-        const UserLayout& cu = grid.UserCells(u);
-        const size_t nu = db.UserObjectCount(u);
-        ResultQueue& local = queues[static_cast<size_t>(worker)];
-        JoinStats* ws = stats != nullptr
+        TopKProcessUser(db, grid, index, t, variant, order,
+                        static_cast<uint32_t>(r),
+                        &queues[static_cast<size_t>(worker)],
+                        stats != nullptr
                             ? &worker_stats[static_cast<size_t>(worker)]
-                            : nullptr;
-
-        // Lemma 2 prefilter against the local queue: it holds k real
-        // pairs, so anything below its threshold is outside the global
-        // top-k too. Under the ascending-size order, the running max of
-        // previous sizes is simply the previous user's size.
-        if (variant == TopKVariant::kP && r > 0 && local.full()) {
-          const size_t max_prev_size = db.UserObjectCount(order[r - 1]);
-          if (max_prev_size > 0) {
-            const size_t matchable = EstimateMatchableObjects(
-                cu, grid.geometry(), index, &rank,
-                static_cast<uint32_t>(r));
-            // Same exact counting prune as the sequential driver, so the
-            // two resolve threshold-grazing users identically.
-            if (!SigmaAtLeast(matchable + max_prev_size, nu + max_prev_size,
-                              local.Threshold())) {
-              return;
-            }
-          }
-        }
-
-        thread_local UserCandidateTable<CandidateCells> candidates;
-        candidates.BeginRound(db.num_users());
-        CollectCandidates(grid, index, cu, &rank,
-                          static_cast<uint32_t>(r), &candidates, ws);
-        RefineCandidates(db, grid, t, u, cu, nu, &candidates, &local, ws);
+                            : nullptr);
       });
 
   for (const ResultQueue& local : queues) {

@@ -1,6 +1,8 @@
 #include "core/user_grid.h"
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 
 #include "text/token_set.h"
 
@@ -114,56 +116,126 @@ TokenVector DistinctTokens(std::span<const ObjectRef> objects) {
   return tokens;
 }
 
-void SpatioTextualGridIndex::AddUser(UserId u, const UserLayout& cells) {
-  thread_local TokenVector tokens;
-  for (const UserPartition& cell : cells) {
-    CellIndex& index = cells_[cell.id];
-    index.users.push_back(u);  // cells ascend, so one entry per (u, cell)
-    DistinctTokens(cell.objects, &tokens);
-    for (const TokenId t : tokens) {
-      index.token_users[t].push_back(u);
+SpatioTextualGridIndex::SpatioTextualGridIndex(const UserGrid& grid,
+                                               std::span<const UserId> order)
+    : rank_(grid.num_users(), kUnranked) {
+  // One row per (user, cell, distinct token) plus one whole-cell row per
+  // (user, cell), emitted in rank order.
+  struct Row {
+    CellId cell;
+    TokenId token;
+    uint32_t rank;
+  };
+  std::vector<Row> rows;
+  TokenVector tokens;
+  for (uint32_t r = 0; r < order.size(); ++r) {
+    const UserId u = order[r];
+    STPS_CHECK(u < rank_.size() && rank_[u] == kUnranked);
+    rank_[u] = r;
+    for (const UserPartition& cell : grid.UserCells(u)) {
+      rows.push_back({cell.id, kCellToken, r});
+      DistinctTokens(cell.objects, &tokens);
+      STPS_DCHECK(tokens.empty() || tokens.back() != kCellToken);
+      for (const TokenId t : tokens) rows.push_back({cell.id, t, r});
     }
+  }
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    if (a.cell != b.cell) return a.cell < b.cell;
+    if (a.token != b.token) return a.token < b.token;
+    return a.rank < b.rank;
+  });
+  STPS_CHECK(rows.size() < kUnranked);
+
+  const auto same_key = [](const Row& a, const Row& b) {
+    return a.cell == b.cell && a.token == b.token;
+  };
+  size_t keys = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i == 0 || !same_key(rows[i - 1], rows[i])) ++keys;
+  }
+  if (keys == 0) return;
+  slots_.resize(std::bit_ceil(2 * keys));
+  mask_ = slots_.size() - 1;
+  users_.reserve(rows.size());
+  for (size_t i = 0; i < rows.size();) {
+    const uint32_t begin = static_cast<uint32_t>(users_.size());
+    size_t j = i;
+    for (; j < rows.size() && same_key(rows[i], rows[j]); ++j) {
+      users_.push_back(order[rows[j].rank]);
+    }
+    size_t s = Hash(rows[i].cell, rows[i].token) & mask_;
+    while (slots_[s].count != 0) s = (s + 1) & mask_;
+    slots_[s] = Slot{rows[i].cell, rows[i].token,
+                     static_cast<uint32_t>(j - i), begin};
+    i = j;
   }
 }
 
-const std::vector<UserId>* SpatioTextualGridIndex::CellUsers(
-    CellId cell) const {
-  const auto it = cells_.find(cell);
-  if (it == cells_.end()) return nullptr;
-  return &it->second.users;
+namespace {
+
+std::vector<UserId> IdentityOrder(size_t num_users) {
+  std::vector<UserId> order(num_users);
+  std::iota(order.begin(), order.end(), UserId{0});
+  return order;
 }
 
-const std::vector<UserId>* SpatioTextualGridIndex::TokenUsers(
-    CellId cell, TokenId t) const {
-  const auto cell_it = cells_.find(cell);
-  if (cell_it == cells_.end()) return nullptr;
-  const auto token_it = cell_it->second.token_users.find(t);
-  if (token_it == cell_it->second.token_users.end()) return nullptr;
-  return &token_it->second;
+}  // namespace
+
+SpatioTextualGridIndex::SpatioTextualGridIndex(const UserGrid& grid)
+    : SpatioTextualGridIndex(grid, IdentityOrder(grid.num_users())) {}
+
+void CollectEarlierCandidates(const GridGeometry& geometry,
+                              const SpatioTextualGridIndex& index,
+                              const UserLayout& cu, uint32_t rank_u,
+                              UserCandidateTable<CandidateCells>* candidates,
+                              JoinStats* stats) {
+  // Hoisted per-thread scratch: this runs once per probing user.
+  thread_local std::vector<CellId> neighbors;
+  thread_local TokenVector tokens;
+  for (const UserPartition& cell : cu) {
+    DistinctTokens(cell.objects, &tokens);
+    neighbors.clear();
+    geometry.AppendNeighborhood(cell.id, /*include_self=*/true, &neighbors);
+    for (const CellId other : neighbors) {
+      if (stats != nullptr) ++stats->cells_visited;
+      for (const TokenId token : tokens) {
+        for (const UserId candidate : index.TokenUsers(other, token)) {
+          if (index.Rank(candidate) >= rank_u) break;  // lists ascend
+          CandidateCells& cc = (*candidates)[candidate];
+          // Cells of u arrive in ascending order, so the back() check
+          // fully deduplicates my_cells; their_cells interleaves across
+          // the outer cell loop, so there it only limits growth.
+          if (cc.my_cells.empty() || cc.my_cells.back() != cell.id) {
+            cc.my_cells.push_back(cell.id);
+          }
+          if (cc.their_cells.empty() || cc.their_cells.back() != other) {
+            cc.their_cells.push_back(other);
+          }
+        }
+      }
+    }
+  }
 }
 
 size_t CountColocatedEarlierUsers(const GridGeometry& geometry,
                                   const SpatioTextualGridIndex& index,
                                   const UserLayout& cu, UserId u) {
   // Hoisted per-thread scratch: this runs once per probing user in every
-  // S-PPJ-F driver, and the two buffers otherwise cost an allocation each
-  // per call.
-  thread_local std::vector<UserId> colocated;
+  // S-PPJ-F driver that collects JoinStats.
+  thread_local UserStampSet colocated;
   thread_local std::vector<CellId> neighbors;
-  colocated.clear();
+  colocated.BeginRound(index.num_users());
+  const uint32_t rank_u = index.Rank(u);
   for (const UserPartition& cell : cu) {
     neighbors.clear();
     geometry.AppendNeighborhood(cell.id, /*include_self=*/true, &neighbors);
     for (const CellId other : neighbors) {
-      const std::vector<UserId>* users = index.CellUsers(other);
-      if (users == nullptr) continue;
-      for (const UserId candidate : *users) {
-        if (candidate >= u) break;  // lists ascend by user id
-        colocated.push_back(candidate);
+      for (const UserId candidate : index.CellUsers(other)) {
+        if (index.Rank(candidate) >= rank_u) break;  // lists ascend by rank
+        colocated.Insert(candidate);
       }
     }
   }
-  SortUnique(&colocated);
   return colocated.size();
 }
 

@@ -13,20 +13,28 @@
 // the batched eps_loc kernels (spatial/batch.h) stream a whole cell block
 // per probe instead of chasing one STObject pointer per candidate.
 //
-// SpatioTextualGridIndex is the incremental index of S-PPJ-F (Figure 3):
-// per occupied cell, an inverted list token -> users having an object with
-// that token in the cell.
+// SpatioTextualGridIndex is the spatio-textual grid index of S-PPJ-F and
+// TOPK-S-PPJ-* (Figure 3): per occupied cell, an inverted list token ->
+// users having an object with that token in the cell. The paper fills it
+// incrementally, user by user; here it is built once per query, over all
+// users, in the query's processing order. Every list ascends in that
+// order, so a probing user sees exactly the users the incremental index
+// would hold by scanning a list until the first entry of its own rank.
+// Built once and read-only afterwards, it is shared by the sequential and
+// parallel drivers alike.
 
 #ifndef STPS_CORE_USER_GRID_H_
 #define STPS_CORE_USER_GRID_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/database.h"
+#include "core/join_stats.h"
 #include "spatial/grid.h"
 #include "stjoin/ppj.h"
 
@@ -183,6 +191,45 @@ struct CandidateCells {
   }
 };
 
+/// Epoch-stamped set of user ids: Insert is an array index plus a stamp
+/// compare, and starting a new round (an empty set) is O(1) — no rehash
+/// and no clear of the stamp array.
+class UserStampSet {
+ public:
+  /// Starts a new, empty round for a universe of `num_users` users.
+  void BeginRound(size_t num_users) {
+    if (stamp_.size() < num_users) stamp_.resize(num_users, 0);
+    touched_.clear();
+    if (++round_ == 0) {  // stamp wraparound: invalidate everything
+      std::fill(stamp_.begin(), stamp_.end(), 0u);
+      round_ = 1;
+    }
+  }
+
+  /// Adds `u`; true when it was not yet in the set this round.
+  bool Insert(UserId u) {
+    STPS_DCHECK(u < stamp_.size());
+    if (stamp_[u] == round_) return false;
+    stamp_[u] = round_;
+    touched_.push_back(u);
+    return true;
+  }
+
+  /// Number of users inserted this round.
+  size_t size() const { return touched_.size(); }
+
+  /// The users inserted this round, sorted ascending (in place).
+  std::span<const UserId> SortedTouched() {
+    std::sort(touched_.begin(), touched_.end());
+    return touched_;
+  }
+
+ private:
+  uint32_t round_ = 0;
+  std::vector<uint32_t> stamp_;
+  std::vector<UserId> touched_;
+};
+
 /// Dense epoch-stamped per-user candidate accumulator, replacing the
 /// unordered_map<UserId, V> tables of the filter loops: operator[] is an
 /// array index plus a stamp compare, and starting a new probing user is
@@ -195,80 +242,126 @@ class UserCandidateTable {
  public:
   /// Starts a new round for a universe of `num_users` users.
   void BeginRound(size_t num_users) {
-    if (stamp_.size() < num_users) {
-      stamp_.resize(num_users, 0);
-      values_.resize(num_users);
-    }
-    touched_.clear();
-    if (++round_ == 0) {  // stamp wraparound: invalidate everything
-      std::fill(stamp_.begin(), stamp_.end(), 0u);
-      round_ = 1;
-    }
+    if (values_.size() < num_users) values_.resize(num_users);
+    users_.BeginRound(num_users);
   }
 
   /// The value slot of user `u`, cleared on first touch this round.
   V& operator[](UserId u) {
-    STPS_DCHECK(u < stamp_.size());
-    if (stamp_[u] != round_) {
-      stamp_[u] = round_;
-      values_[u].Clear();
-      touched_.push_back(u);
-    }
+    if (users_.Insert(u)) values_[u].Clear();
     return values_[u];
   }
 
   /// Number of users touched this round.
-  size_t size() const { return touched_.size(); }
+  size_t size() const { return users_.size(); }
 
   /// The users touched this round, sorted ascending (in place).
-  std::span<const UserId> SortedTouched() {
-    std::sort(touched_.begin(), touched_.end());
-    return touched_;
-  }
+  std::span<const UserId> SortedTouched() { return users_.SortedTouched(); }
 
  private:
-  uint32_t round_ = 0;
-  std::vector<uint32_t> stamp_;
+  UserStampSet users_;
   std::vector<V> values_;
-  std::vector<UserId> touched_;
 };
 
-/// Incremental per-cell inverted index: token -> users (S-PPJ-F /
-/// TOPK-S-PPJ-*). Users must be added at most once each.
+/// The spatio-textual grid index of S-PPJ-F / TOPK-S-PPJ-*, built once
+/// from a UserGrid over the users of a processing order. Storage is flat:
+/// one sort of (cell, token, rank) rows fills a single UserId array, and
+/// one open-addressed (cell, token) -> range table points into it. The
+/// whole-cell user lists live in the same table under a reserved token.
+/// Every list ascends in processing order (rank), so a driver that probes
+/// for users processed before u stops each scan at the first entry with
+/// Rank >= Rank(u). Immutable after construction; safe to share across
+/// threads.
 class SpatioTextualGridIndex {
  public:
-  SpatioTextualGridIndex() = default;
+  /// Rank of a user that is not in the processing order.
+  static constexpr uint32_t kUnranked = std::numeric_limits<uint32_t>::max();
 
-  /// Indexes every (cell, token) of the user's cell list.
-  void AddUser(UserId u, const UserLayout& cells);
+  /// Indexes every (cell, token) of every user in `order`, which lists
+  /// distinct users; a user's rank is its position in `order`.
+  SpatioTextualGridIndex(const UserGrid& grid, std::span<const UserId> order);
 
-  /// The users (in insertion order) having an object with token `t` in
-  /// cell `cell`; nullptr when none.
-  const std::vector<UserId>* TokenUsers(CellId cell, TokenId t) const;
+  /// Indexes all users of `grid` in ascending id order (rank == id).
+  explicit SpatioTextualGridIndex(const UserGrid& grid);
 
-  /// The users (in insertion order, one entry each) having any object in
-  /// `cell`; nullptr when the cell is empty. Used by the JoinStats
-  /// spatial/textual filter breakdown.
-  const std::vector<UserId>* CellUsers(CellId cell) const;
-
-  /// True when cell `cell` holds any indexed object.
-  bool CellOccupied(CellId cell) const {
-    return cells_.find(cell) != cells_.end();
+  /// The indexed users (ascending by rank) having an object with token
+  /// `t` in cell `cell`; empty when none.
+  std::span<const UserId> TokenUsers(CellId cell, TokenId t) const {
+    STPS_DCHECK(t != kCellToken);
+    return Find(cell, t);
   }
 
+  /// The indexed users (ascending by rank, one entry each) having any
+  /// object in `cell`; empty when none.
+  std::span<const UserId> CellUsers(CellId cell) const {
+    return Find(cell, kCellToken);
+  }
+
+  /// True when cell `cell` holds any indexed object.
+  bool CellOccupied(CellId cell) const { return !CellUsers(cell).empty(); }
+
+  /// The processing rank of `u`; kUnranked when u is not indexed.
+  uint32_t Rank(UserId u) const {
+    STPS_DCHECK(u < rank_.size());
+    return rank_[u];
+  }
+
+  /// Size of the user-id universe (the grid's user count).
+  size_t num_users() const { return rank_.size(); }
+
  private:
-  struct CellIndex {
-    std::unordered_map<TokenId, std::vector<UserId>> token_users;
-    std::vector<UserId> users;  // insertion order, one entry per user
+  // The reserved token keying the whole-cell user lists.
+  static constexpr TokenId kCellToken = std::numeric_limits<TokenId>::max();
+
+  // One open-addressed slot; count == 0 marks an empty slot.
+  struct Slot {
+    CellId cell = 0;
+    TokenId token = 0;
+    uint32_t count = 0;
+    uint32_t begin = 0;
   };
-  std::unordered_map<CellId, CellIndex> cells_;
+
+  static size_t Hash(CellId cell, TokenId t) {
+    uint64_t h = static_cast<uint64_t>(cell) * 0x9E3779B97F4A7C15ull + t;
+    h ^= h >> 31;
+    h *= 0xBF58476D1CE4E5B9ull;
+    return static_cast<size_t>(h ^ (h >> 29));
+  }
+
+  std::span<const UserId> Find(CellId cell, TokenId t) const {
+    if (slots_.empty()) return {};
+    for (size_t i = Hash(cell, t) & mask_;; i = (i + 1) & mask_) {
+      const Slot& slot = slots_[i];
+      if (slot.count == 0) return {};
+      if (slot.cell == cell && slot.token == t) {
+        return {users_.data() + slot.begin, slot.count};
+      }
+    }
+  }
+
+  std::vector<uint32_t> rank_;  // by user id
+  std::vector<UserId> users_;   // every list, back to back
+  std::vector<Slot> slots_;     // power-of-two size, <= half full
+  size_t mask_ = 0;
 };
 
-/// Number of distinct indexed users with id < u having an object in
+/// The S-PPJ-F filter: probes the distinct tokens of every cell of `cu`
+/// against the inverted lists of the cell and its neighbours, and records
+/// in `*candidates` every user ranked before `rank_u` found there, with
+/// its supporting cells (my_cells / their_cells may hold duplicates until
+/// SortUnique). `candidates` must have had BeginRound called. Accrues
+/// cells_visited into `*stats` when non-null. Shared by the S-PPJ-F and
+/// top-k drivers.
+void CollectEarlierCandidates(const GridGeometry& geometry,
+                              const SpatioTextualGridIndex& index,
+                              const UserLayout& cu, uint32_t rank_u,
+                              UserCandidateTable<CandidateCells>* candidates,
+                              JoinStats* stats);
+
+/// Number of distinct indexed users ranked before u having an object in
 /// `cu`'s cells or their neighbourhood — the users that pass the spatial
-/// part of the S-PPJ-F filter for user u. Requires the index's per-cell
-/// user lists to be ascending by id (true when users are added in id
-/// order). Only used for the JoinStats spatial/textual breakdown.
+/// part of the S-PPJ-F filter for user u. Only used for the JoinStats
+/// spatial/textual breakdown.
 size_t CountColocatedEarlierUsers(const GridGeometry& geometry,
                                   const SpatioTextualGridIndex& index,
                                   const UserLayout& cu, UserId u);

@@ -1,8 +1,14 @@
 #include <algorithm>
+#include <map>
+#include <numeric>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/sppj_d.h"
+#include "core/sppj_f.h"
+#include "core/topk.h"
 #include "core/user_grid.h"
 #include "test_util.h"
 #include "text/token_set.h"
@@ -134,33 +140,117 @@ INSTANTIATE_TEST_SUITE_P(Fanouts, LeafIndexTest,
 TEST(SpatioTextualGridIndexTest, TokenProbesFindIndexedUsers) {
   const ObjectDatabase db = BuildRandomDatabase(RandomDbSpec{});
   const UserGrid grid(db, 0.05);
-  SpatioTextualGridIndex index;
   // Index the first half of the users.
   const UserId half = static_cast<UserId>(db.num_users() / 2);
-  for (UserId u = 0; u < half; ++u) {
-    index.AddUser(u, grid.UserCells(u));
-  }
+  std::vector<UserId> order(half);
+  std::iota(order.begin(), order.end(), UserId{0});
+  const SpatioTextualGridIndex index(grid, order);
   // Every indexed (cell, token, user) is findable; none of the unindexed
   // users appear anywhere.
   for (UserId u = 0; u < db.num_users(); ++u) {
+    EXPECT_EQ(index.Rank(u),
+              u < half ? u : SpatioTextualGridIndex::kUnranked);
     for (const UserPartition& cell : grid.UserCells(u)) {
       EXPECT_TRUE(index.CellOccupied(cell.id) || u >= half);
+      const std::span<const UserId> cell_users = index.CellUsers(cell.id);
+      EXPECT_EQ(std::find(cell_users.begin(), cell_users.end(), u) !=
+                    cell_users.end(),
+                u < half);
       const TokenVector tokens =
           DistinctTokens(std::span<const ObjectRef>(cell.objects));
       for (const TokenId t : tokens) {
-        const std::vector<UserId>* users = index.TokenUsers(cell.id, t);
+        const std::span<const UserId> users = index.TokenUsers(cell.id, t);
         if (u < half) {
-          ASSERT_NE(users, nullptr);
-          EXPECT_NE(std::find(users->begin(), users->end(), u),
-                    users->end());
-        } else if (users != nullptr) {
-          EXPECT_EQ(std::find(users->begin(), users->end(), u),
-                    users->end());
+          ASSERT_FALSE(users.empty());
+          EXPECT_NE(std::find(users.begin(), users.end(), u), users.end());
+        } else {
+          EXPECT_EQ(std::find(users.begin(), users.end(), u), users.end());
         }
       }
     }
   }
-  EXPECT_EQ(index.TokenUsers(/*cell=*/-1234567, /*t=*/0), nullptr);
+  // A missing cell, or a missing token in an occupied cell, is empty.
+  EXPECT_TRUE(index.TokenUsers(/*cell=*/-1234567, /*t=*/0).empty());
+  EXPECT_TRUE(index.CellUsers(/*cell=*/-1234567).empty());
+  EXPECT_FALSE(index.CellOccupied(/*cell=*/-1234567));
+  const CellId occupied = grid.UserCells(0).cells.front().id;
+  EXPECT_TRUE(index.CellOccupied(occupied));
+  EXPECT_TRUE(index.TokenUsers(occupied, /*t=*/1u << 30).empty());
+}
+
+TEST(SpatioTextualGridIndexTest, ListsAscendInANonIdentityOrder) {
+  const ObjectDatabase db = BuildRandomDatabase(RandomDbSpec{});
+  const UserGrid grid(db, 0.05);
+  // A non-identity processing order: odd ids descending, then even ids
+  // ascending.
+  std::vector<UserId> order;
+  for (UserId u = static_cast<UserId>(db.num_users()); u-- > 0;) {
+    if (u % 2 == 1) order.push_back(u);
+  }
+  for (UserId u = 0; u < db.num_users(); u += 2) order.push_back(u);
+  const SpatioTextualGridIndex index(grid, order);
+  for (uint32_t r = 0; r < order.size(); ++r) {
+    EXPECT_EQ(index.Rank(order[r]), r);
+  }
+  const auto expect_ascending = [&index](std::span<const UserId> users) {
+    for (size_t i = 1; i < users.size(); ++i) {
+      EXPECT_LT(index.Rank(users[i - 1]), index.Rank(users[i]));
+    }
+  };
+  for (UserId u = 0; u < db.num_users(); ++u) {
+    for (const UserPartition& cell : grid.UserCells(u)) {
+      expect_ascending(index.CellUsers(cell.id));
+      for (const TokenId t :
+           DistinctTokens(std::span<const ObjectRef>(cell.objects))) {
+        const std::span<const UserId> users = index.TokenUsers(cell.id, t);
+        expect_ascending(users);
+        EXPECT_NE(std::find(users.begin(), users.end(), u), users.end());
+      }
+    }
+  }
+}
+
+TEST(SpatioTextualGridIndexTest, CellUsersHoldOneEntryPerUserCell) {
+  const ObjectDatabase db = BuildRandomDatabase(RandomDbSpec{});
+  const UserGrid grid(db, 0.05);
+  const SpatioTextualGridIndex index(grid);
+  // Expected: cell -> the users occupying it, ascending by id (== rank).
+  std::map<CellId, std::vector<UserId>> expected;
+  for (UserId u = 0; u < db.num_users(); ++u) {
+    for (const UserPartition& cell : grid.UserCells(u)) {
+      expected[cell.id].push_back(u);
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+  for (const auto& [cell, users] : expected) {
+    const std::span<const UserId> got = index.CellUsers(cell);
+    EXPECT_EQ(std::vector<UserId>(got.begin(), got.end()), users)
+        << "cell " << cell;
+  }
+}
+
+TEST(SpatioTextualGridIndexTest, EmptyInputsBuildAnEmptyIndex) {
+  // The grid needs at least one object, so an empty database has no grid:
+  // every driver returns before building one.
+  const ObjectDatabase empty = DatabaseBuilder().Build();
+  EXPECT_TRUE(SPPJF(empty, STPSQuery{0.05, 0.3, 0.3}).empty());
+  EXPECT_TRUE(TopKSPPJF(empty, TopKQuery{0.05, 0.3, 5}).empty());
+  // Over a real grid, an empty processing order indexes nothing.
+  const ObjectDatabase db = BuildRandomDatabase(RandomDbSpec{});
+  const UserGrid grid(db, 0.05);
+  const SpatioTextualGridIndex index(grid, std::span<const UserId>());
+  EXPECT_EQ(index.num_users(), db.num_users());
+  for (UserId u = 0; u < db.num_users(); ++u) {
+    EXPECT_EQ(index.Rank(u), SpatioTextualGridIndex::kUnranked);
+    for (const UserPartition& cell : grid.UserCells(u)) {
+      EXPECT_FALSE(index.CellOccupied(cell.id));
+      for (const ObjectRef& ref : cell.objects) {
+        for (const TokenId t : ref.object->doc) {
+          EXPECT_TRUE(index.TokenUsers(cell.id, t).empty());
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

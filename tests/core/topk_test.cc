@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "core/stpsjoin.h"
+#include "datagen/generator.h"
+#include "datagen/presets.h"
 #include "test_util.h"
 
 namespace stps {
@@ -176,6 +178,59 @@ TEST(TopKTest, TiedScoresStraddlingTheCutAreDeterministic) {
                               want));
     }
   }
+}
+
+// Regression for ties at the k-th score on generated data: the rounded
+// tail score fl(m / T) can sit above the exact ratio m / T (1/10 does), so
+// a prune against the tail's double dropped pairs whose exact score equals
+// the tail's before Offer could break the tie on the ids. GeoTextLike at
+// 200 users over a seed and threshold grid; every variant, sequential and
+// at 2 threads, must equal brute force bit for bit.
+TEST(TopKTest, TiesWithTheKthScoreSurviveOnGeneratedData) {
+  const double eps_locs[] = {0.0005, 0.001, 0.002};
+  const double eps_docs[] = {0.3, 0.5};
+  const size_t ks[] = {10, 100};
+  const TopKVariant variants[] = {TopKVariant::kF, TopKVariant::kS,
+                                  TopKVariant::kP};
+  size_t cases = 0;
+  std::vector<std::string> mismatches;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    const ObjectDatabase db =
+        GenerateDataset(PresetSpec(DatasetKind::kGeoTextLike, 200, seed));
+    for (const double eps_loc : eps_locs) {
+      for (const double eps_doc : eps_docs) {
+        // The top-k is a prefix of the TopKBetter order, so one brute-force
+        // run at the largest k answers every k.
+        const auto best = BruteForceTopK(db, {eps_loc, eps_doc, ks[1]});
+        for (const size_t k : ks) {
+          const TopKQuery query{eps_loc, eps_doc, k};
+          const std::vector<ScoredUserPair> expected(
+              best.begin(), best.begin() + std::min(k, best.size()));
+          for (const TopKVariant variant : variants) {
+            const std::string where =
+                "seed=" + std::to_string(seed) +
+                " eps_loc=" + std::to_string(eps_loc) +
+                " eps_doc=" + std::to_string(eps_doc) +
+                " k=" + std::to_string(k) +
+                " variant=" + std::to_string(static_cast<int>(variant));
+            ++cases;
+            if (!SameResults(TopKSTPSJoin(db, query, variant), expected,
+                             /*tolerance=*/0.0)) {
+              mismatches.push_back(where + " sequential");
+            }
+            if (!SameResults(TopKSTPSJoinParallel(db, query, variant,
+                                                  ParallelOptions{2, 0}),
+                             expected, /*tolerance=*/0.0)) {
+              mismatches.push_back(where + " threads=2");
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 40u * 3 * 2 * 2 * 3);
+  EXPECT_TRUE(mismatches.empty())
+      << mismatches.size() << " mismatches, first: " << mismatches.front();
 }
 
 TEST(TopKTest, ScoresNeverExceedThoseOfSmallerK) {
