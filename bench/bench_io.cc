@@ -18,7 +18,7 @@
 //
 // The join columns compare the same query on the heap and mapped
 // databases (first query after open — the paged-in join) and the
-// sharded driver at 1/2/8 shards on the mapped database. Every variant
+// sharded S-PPJ-F at 1/2/8 shards on the mapped database. Every variant
 // must produce the identical result list — a positional checksum over
 // (a, b, score-bits) aborts the bench on any divergence, which is what
 // makes `sharded_checksum_match` a trivially gateable 1.0.
@@ -34,7 +34,7 @@
 
 #include "bench_util.h"
 #include "common/timer.h"
-#include "core/sharded_join.h"
+#include "core/sppj_f.h"
 #include "core/stpsjoin.h"
 #include "io/binary.h"
 
@@ -129,7 +129,8 @@ SweepRow RunSweepPoint(size_t users, const std::string& path) {
 
   const auto time_shards = [&](int shards, double* ms) {
     Timer timer;
-    const auto result = ShardedSTPSJoin(mapped.value(), query, shards);
+    const auto result = SPPJF(mapped.value(), query, /*stats=*/nullptr,
+                              JoinPartition::Sharded(shards));
     *ms = timer.ElapsedMillis();
     if (ResultChecksum(result) != reference) {
       std::fprintf(stderr, "sharded join (%d shards) diverged at %zu users\n",

@@ -1,8 +1,8 @@
-// Ablation A4: shared-memory scaling of the pool-parallel join drivers
-// (a step toward the paper's future-work distributed processing).
+// Ablation A4: shared-memory scaling of the join executor (a step toward
+// the paper's future-work distributed processing).
 //
-// Part 1 times the work-stealing ThreadPool S-PPJ-F on every dataset
-// preset. Part 2 reports pool scaling for every parallel driver
+// Part 1 times S-PPJ-F on the work-stealing ThreadPool on every dataset
+// preset. Part 2 reports pool scaling for every algorithm on the executor
 // (S-PPJ-B/C/D/F and TOPK-S-PPJ-F); on a multi-core host the speedup
 // should track the thread count until the per-user work runs out. The
 // per-stage filter counters print at exit via the bench_util stats
@@ -17,7 +17,7 @@
 #include "core/sppj_b.h"
 #include "core/sppj_c.h"
 #include "core/sppj_d.h"
-#include "core/sppj_f_parallel.h"
+#include "core/sppj_f.h"
 #include "core/topk.h"
 
 int main(int argc, char** argv) {
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     const ObjectDatabase& db = GetDataset(kind, num_users);
     const STPSQuery query = DefaultQuery(kind);
     // Warm caches so the first timed configuration isn't penalised.
-    SPPJFParallel(db, query, ParallelOptions{1, 0});
+    SPPJF(db, query, /*stats=*/nullptr, ParallelOptions{1, 0});
     size_t pool_size = 0;
     double pool_ms[4];
     // Keep the best repeat — the host is shared, so single measurements
@@ -47,9 +47,9 @@ int main(int argc, char** argv) {
     for (int rep = 0; rep < kRepeats; ++rep) {
       for (int i = 0; i < 4; ++i) {
         Timer pool_timer;
-        pool_size =
-            SPPJFParallel(db, query, ParallelOptions{thread_counts[i], 0})
-                .size();
+        pool_size = SPPJF(db, query, /*stats=*/nullptr,
+                          ParallelOptions{thread_counts[i], 0})
+                        .size();
         pool_ms[i] = std::min(pool_ms[i], pool_timer.ElapsedMillis());
       }
     }
@@ -77,20 +77,20 @@ int main(int argc, char** argv) {
     std::printf(" %8zu\n", result_size);
   };
   time_variant("S-PPJ-B", [&](const ParallelOptions& p, JoinStats* s) {
-    return SPPJBParallel(db, query, p, s);
+    return SPPJB(db, query, s, p);
   });
   time_variant("S-PPJ-C", [&](const ParallelOptions& p, JoinStats* s) {
-    return SPPJCParallel(db, query, p, s);
+    return SPPJC(db, query, s, p);
   });
   time_variant("S-PPJ-D", [&](const ParallelOptions& p, JoinStats* s) {
-    return SPPJDParallel(db, query, SPPJDOptions{}, p, s);
+    return SPPJD(db, query, SPPJDOptions{}, s, p);
   });
   time_variant("S-PPJ-F", [&](const ParallelOptions& p, JoinStats* s) {
-    return SPPJFParallel(db, query, p, s);
+    return SPPJF(db, query, s, p);
   });
   const TopKQuery topk_query{query.eps_loc, query.eps_doc, 100};
   time_variant("TOPK-S-PPJ-F", [&](const ParallelOptions& p, JoinStats* s) {
-    return TopKSTPSJoinParallel(db, topk_query, TopKVariant::kF, p, s);
+    return TopKSTPSJoin(db, topk_query, TopKVariant::kF, s, p);
   });
   return 0;
 }

@@ -121,6 +121,12 @@ def main():
         expect(int(rows[0].split()[1]) >= CLIENTS - 1, f"PROBE rows: {rows[0]}")
         stats = c.request("STATS")[0]
         expect("publishes=" in stats, f"STATS: {stats}")
+        # eps_loc = 0 leaves the grid algorithms no grid: ERR, and the
+        # server keeps serving.
+        for hostile in ("JOIN 0 0.3 0.3 ALGO sppjf", "TOPK 0 0.3 5 ALGO f"):
+            r = c.request(hostile)[0]
+            expect(r.startswith("ERR"), f"{hostile}: {r}")
+            expect(c.request("PING")[0] == "OK pong", f"PING after {hostile}")
 
         # Phase 3: graceful shutdown.
         expect(c.request("SHUTDOWN")[0] == "OK shutting down", "SHUTDOWN")

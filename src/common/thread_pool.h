@@ -1,4 +1,4 @@
-// Work-stealing thread pool shared by every parallel join driver.
+// Work-stealing thread pool behind the join executor (core/join_executor.h).
 //
 // A ThreadPool owns a fixed set of workers, each with its own task deque:
 // owners push and pop at the back (LIFO, for locality), idle workers steal
@@ -15,8 +15,8 @@
 //    the lock is taken O(#chunks) times per ParallelFor, not O(#items);
 //    for the join workloads this is noise next to the per-chunk work.
 //  * One external thread may drive a pool instance at a time (pool worker
-//    threads may additionally issue nested calls). The join drivers create
-//    a pool per invocation, which satisfies this trivially.
+//    threads may additionally issue nested calls). The join executor
+//    creates a pool per invocation, which satisfies this trivially.
 //  * Exceptions thrown by a task are captured and rethrown to the caller:
 //    ParallelFor rethrows the first chunk exception after the whole batch
 //    has finished; WaitIdle rethrows the first exception of detached
@@ -39,10 +39,11 @@
 
 namespace stps {
 
-/// Execution knobs for the parallel join drivers. A field of STPSQuery /
-/// TopKQuery, so callers opt in per query.
+/// Execution knobs for the join executor (core/join_executor.h). A field
+/// of STPSQuery / TopKQuery, so callers opt in per query.
 struct ParallelOptions {
-  /// Worker count; 1 (the default) selects the sequential driver.
+  /// Worker count; 1 (the default) is the sequential run, on a pool that
+  /// spawns no thread. Values below 1 are clamped to 1.
   int num_threads = 1;
   /// Iterations per ParallelFor chunk; 0 picks a chunk size yielding
   /// ~8 chunks per worker (good load balance at low scheduling cost).

@@ -2,9 +2,9 @@
 //
 // Every join driver can report where the candidate pairs went — the key
 // signal for tuning the filters (the PPJoin lineage and SEAL both tune on
-// candidate/verification counts). Counters are plain uint64_t: the
-// parallel drivers give each worker its own JoinStats and Merge them when
-// the join completes, so the hot paths never touch shared memory.
+// candidate/verification counts). Counters are plain uint64_t: the join
+// executor gives each worker its own JoinStats and Merges them when the
+// join completes, so the hot paths never touch shared memory.
 //
 // Counter semantics (a pair = unordered user pair considered once):
 //  * cells_visited         — cell/leaf visits: (cell, neighbour) probes in

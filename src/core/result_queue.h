@@ -1,6 +1,6 @@
 // Bounded best-k container under the TopKBetter total order, shared by
-// every top-k driver (core/topk.cc and the sketch-candidate driver in
-// sketch/sketch_join.cc).
+// every top-k pass (core/topk.cc and the sketch-candidate driver in
+// sketch/sketch_join.cc) and the join executor's merge.
 //
 // Tie semantics at the threshold: a candidate whose score exactly equals
 // the tail's enters iff it beats the tail on the id order (TopKBetter is a
@@ -12,9 +12,9 @@
 // score itself but a bound no greater than the exact ratio of any pair
 // whose rounded score equals it: the tail score fl(m / T) may round *up*
 // (1/10 does), and pruning an exact m' / T' = m / T against it would drop
-// a tie before Offer could break it on the ids. The sequential drivers
-// and the parallel drivers (thread-local queues merged via Offer at the
-// end) then resolve boundary ties identically.
+// a tie before Offer could break it on the ids. One worker and many
+// (per-worker queues merged via Offer at the end, core/join_executor.h)
+// then resolve boundary ties identically.
 
 #ifndef STPS_CORE_RESULT_QUEUE_H_
 #define STPS_CORE_RESULT_QUEUE_H_

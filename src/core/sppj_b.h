@@ -1,14 +1,16 @@
 // S-PPJ-B (Section 4.1.2): like S-PPJ-C, but each pair is evaluated with
 // the PPJ-B traversal, whose Lemma 1 bound terminates a pair as soon as
-// enough unmatched objects prove sigma < eps_u.
+// enough unmatched objects prove sigma < eps_u. Defined next to S-PPJ-C
+// in sppj_c.cc: the two share one per-user pass and differ only in the
+// pair kernel.
 
 #ifndef STPS_CORE_SPPJ_B_H_
 #define STPS_CORE_SPPJ_B_H_
 
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/database.h"
+#include "core/join_executor.h"
 #include "core/join_stats.h"
 #include "core/similarity.h"
 
@@ -18,15 +20,8 @@ namespace stps {
 /// SPPJC.
 std::vector<ScoredUserPair> SPPJB(const ObjectDatabase& db,
                                   const STPSQuery& query,
-                                  JoinStats* stats = nullptr);
-
-/// Parallel S-PPJ-B: the probing-user loop is distributed over the
-/// work-stealing thread pool; every pair is still evaluated exactly once
-/// and the result is bit-identical to SPPJB at any thread count.
-std::vector<ScoredUserPair> SPPJBParallel(const ObjectDatabase& db,
-                                          const STPSQuery& query,
-                                          const ParallelOptions& parallel,
-                                          JoinStats* stats = nullptr);
+                                  JoinStats* stats = nullptr,
+                                  const JoinPartition& partition = {});
 
 }  // namespace stps
 

@@ -1,81 +1,65 @@
 #include "core/sppj_c.h"
 
-#include <algorithm>
-
 #include "common/predicates.h"
-#include "core/parallel_util.h"
 #include "core/ppjb.h"
+#include "core/sppj_b.h"
 #include "core/user_grid.h"
 
 namespace stps {
 
 namespace {
 
-// "selectedUsers" of Algorithm 1 is the prefix of already-seen users:
-// each new user u1 is joined against every previous u2. Shared by the
-// sequential and parallel drivers.
-void ProcessUserC(const ObjectDatabase& db, const UserGrid& grid,
-                  const STPSQuery& query, const MatchThresholds& t,
-                  UserId u1, std::vector<ScoredUserPair>* out,
-                  JoinStats* stats) {
-  for (UserId u2 = 0; u2 < u1; ++u2) {
-    if (stats != nullptr) {
-      ++stats->pairs_candidate;
-      ++stats->pairs_verified;
+// S-PPJ-C and S-PPJ-B: the filterless joins, which differ only in the
+// pair kernel (PPJ-C, or PPJ-B with its Lemma 1 early termination at
+// eps_u). "selectedUsers" of Algorithm 1 is the prefix of already-seen
+// users: each probing user u1 is joined against every previous u2.
+std::vector<ScoredUserPair> JoinEveryPair(const ObjectDatabase& db,
+                                          const STPSQuery& query,
+                                          bool use_ppjb, JoinStats* stats,
+                                          const JoinPartition& partition) {
+  if (db.num_objects() == 0) return {};
+  const UserGrid grid(db, query.eps_loc);
+  const MatchThresholds t = query.match_thresholds();
+  const auto pass = [&](UserId u1, std::vector<ScoredUserPair>* out,
+                        JoinStats* ws) {
+    const UserLayout& cu = grid.UserCells(u1);
+    const size_t nu = db.UserObjectCount(u1);
+    for (UserId u2 = 0; u2 < u1; ++u2) {
+      if (ws != nullptr) {
+        ++ws->pairs_candidate;
+        ++ws->pairs_verified;
+      }
+      const UserLayout& cv = grid.UserCells(u2);
+      const size_t nv = db.UserObjectCount(u2);
+      size_t matched = 0;
+      const double sigma =
+          use_ppjb ? PPJBPair(cu, nu, cv, nv, grid.geometry(), t,
+                              query.eps_u, ws, &matched)
+                   : PPJCPair(cu, nu, cv, nv, grid.geometry(), t, ws,
+                              &matched);
+      // Membership is the exact counting predicate (common/predicates.h);
+      // the double sigma is only the reported score.
+      if (SigmaAtLeast(matched, nu + nv, query.eps_u)) {
+        out->push_back({u2, u1, sigma});
+        if (ws != nullptr) ++ws->matches_found;
+      }
     }
-    const size_t total = db.UserObjectCount(u1) + db.UserObjectCount(u2);
-    size_t matched = 0;
-    const double sigma =
-        PPJCPair(grid.UserCells(u1), db.UserObjectCount(u1),
-                 grid.UserCells(u2), db.UserObjectCount(u2),
-                 grid.geometry(), t, stats, &matched);
-    // Membership is the exact counting predicate (common/predicates.h);
-    // the double sigma is only the reported score.
-    if (SigmaAtLeast(matched, total, query.eps_u)) {
-      out->push_back({u2, u1, sigma});
-      if (stats != nullptr) ++stats->matches_found;
-    }
-  }
+  };
+  return ExecuteJoin(db, partition, pass, stats);
 }
 
 }  // namespace
 
 std::vector<ScoredUserPair> SPPJC(const ObjectDatabase& db,
-                                  const STPSQuery& query, JoinStats* stats) {
-  std::vector<ScoredUserPair> result;
-  if (db.num_objects() == 0) return result;
-  const UserGrid grid(db, query.eps_loc);
-  const MatchThresholds t = query.match_thresholds();
-  const size_t n = db.num_users();
-  for (UserId u1 = 0; u1 < n; ++u1) {
-    ProcessUserC(db, grid, query, t, u1, &result, stats);
-  }
-  std::sort(result.begin(), result.end(), PairIdLess);
-  return result;
+                                  const STPSQuery& query, JoinStats* stats,
+                                  const JoinPartition& partition) {
+  return JoinEveryPair(db, query, /*use_ppjb=*/false, stats, partition);
 }
 
-std::vector<ScoredUserPair> SPPJCParallel(const ObjectDatabase& db,
-                                          const STPSQuery& query,
-                                          const ParallelOptions& parallel,
-                                          JoinStats* stats) {
-  STPS_CHECK(parallel.num_threads >= 1);
-  if (db.num_objects() == 0) return {};
-  const UserGrid grid(db, query.eps_loc);
-  const MatchThresholds t = query.match_thresholds();
-  const size_t n = db.num_users();
-
-  ThreadPool pool(parallel.num_threads);
-  const size_t slots = static_cast<size_t>(pool.num_threads());
-  std::vector<std::vector<ScoredUserPair>> per_worker(slots);
-  std::vector<JoinStats> worker_stats(slots);
-  pool.ParallelForEach(0, n, parallel.grain, [&](size_t u1, int worker) {
-    ProcessUserC(db, grid, query, t, static_cast<UserId>(u1),
-                 &per_worker[static_cast<size_t>(worker)],
-                 stats != nullptr ? &worker_stats[static_cast<size_t>(worker)]
-                                  : nullptr);
-  });
-  MergeWorkerStats(stats, worker_stats);
-  return MergeSortedPairs(&per_worker);
+std::vector<ScoredUserPair> SPPJB(const ObjectDatabase& db,
+                                  const STPSQuery& query, JoinStats* stats,
+                                  const JoinPartition& partition) {
+  return JoinEveryPair(db, query, /*use_ppjb=*/true, stats, partition);
 }
 
 }  // namespace stps

@@ -7,26 +7,21 @@
 
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/database.h"
+#include "core/join_executor.h"
 #include "core/join_stats.h"
 #include "core/similarity.h"
 
 namespace stps {
 
 /// Evaluates the STPSJoin query with the S-PPJ-C baseline.
-/// Result pairs (a < b) are sorted by (a, b) and carry exact sigma.
+/// Result pairs (a < b) are sorted by (a, b) and carry exact sigma,
+/// bit-identical (with the same JoinStats) under every `partition` — one
+/// worker, a pool of any size, or user shards (core/join_executor.h).
 std::vector<ScoredUserPair> SPPJC(const ObjectDatabase& db,
                                   const STPSQuery& query,
-                                  JoinStats* stats = nullptr);
-
-/// Parallel S-PPJ-C: the probing-user loop is distributed over the
-/// work-stealing thread pool; every pair is still evaluated exactly once
-/// and the result is bit-identical to SPPJC at any thread count.
-std::vector<ScoredUserPair> SPPJCParallel(const ObjectDatabase& db,
-                                          const STPSQuery& query,
-                                          const ParallelOptions& parallel,
-                                          JoinStats* stats = nullptr);
+                                  JoinStats* stats = nullptr,
+                                  const JoinPartition& partition = {});
 
 }  // namespace stps
 

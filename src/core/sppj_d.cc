@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "common/predicates.h"
-#include "core/parallel_util.h"
 #include "spatial/quadtree.h"
 #include "spatial/spatial_join.h"
 #include "text/token_set.h"
@@ -124,6 +123,46 @@ const std::vector<UserId>* LeafPartitionIndex::TokenUsers(uint32_t leaf,
   return &it->second;
 }
 
+void CollectEarlierLeafCandidates(
+    const LeafPartitionIndex& index, const UserLayout& lu, UserId u,
+    std::span<const uint32_t> rank,
+    UserCandidateTable<CandidateCells>* candidates, JoinStats* stats) {
+  thread_local TokenVector tokens;
+  for (const UserPartition& leaf : lu) {
+    DistinctTokens(leaf.objects, &tokens);
+    for (const uint32_t other :
+         index.RelevantLeaves(static_cast<uint32_t>(leaf.id))) {
+      if (stats != nullptr) ++stats->cells_visited;
+      const auto add = [&](UserId candidate) {
+        CandidateCells& cl = (*candidates)[candidate];
+        // Opportunistic growth limiting only; SortUnique is the
+        // authoritative dedup (their_cells interleaves across the
+        // outer leaf loop, so back() checks cannot catch everything).
+        if (cl.my_cells.empty() || cl.my_cells.back() != leaf.id) {
+          cl.my_cells.push_back(leaf.id);
+        }
+        if (cl.their_cells.empty() || cl.their_cells.back() != other) {
+          cl.their_cells.push_back(other);
+        }
+      };
+      for (const TokenId token : tokens) {
+        const std::vector<UserId>* users = index.TokenUsers(other, token);
+        if (users == nullptr) continue;
+        if (rank.empty()) {
+          for (const UserId candidate : *users) {
+            if (candidate >= u) break;  // sorted ascending
+            add(candidate);
+          }
+        } else {
+          for (const UserId candidate : *users) {
+            if (rank[candidate] < rank[u]) add(candidate);
+          }
+        }
+      }
+    }
+  }
+}
+
 namespace {
 
 // Earlier users (< u) sharing a relevant leaf with u, regardless of
@@ -149,7 +188,7 @@ size_t CountColocatedEarlierUsersD(const LeafPartitionIndex& index,
 // One pass over probing user u: filter via the leaf-level inverted
 // lists, sigma_bar count bound, then PPJ-D refinement. Candidates are
 // restricted to earlier users so every pair is evaluated exactly once;
-// used by both the sequential and the pool-parallel driver.
+// the per-user pass the join executor runs.
 void ProcessUserD(const ObjectDatabase& db, const LeafPartitionIndex& index,
                   const STPSQuery& query, const MatchThresholds& t, UserId u,
                   std::vector<ScoredUserPair>* out, JoinStats* stats) {
@@ -160,35 +199,8 @@ void ProcessUserD(const ObjectDatabase& db, const LeafPartitionIndex& index,
   // rehash, and with deterministic ascending refine order.
   thread_local UserCandidateTable<CandidateCells> candidates;
   candidates.BeginRound(db.num_users());
-
-  // Filter: probe the distinct tokens of every leaf of u against the
-  // inverted lists of the relevant leaves; only users earlier in the
-  // total order are candidates (the lists are sorted ascending).
-  thread_local TokenVector tokens;
-  for (const UserPartition& leaf : lu) {
-    DistinctTokens(leaf.objects, &tokens);
-    for (const uint32_t other :
-         index.RelevantLeaves(static_cast<uint32_t>(leaf.id))) {
-      if (stats != nullptr) ++stats->cells_visited;
-      for (const TokenId token : tokens) {
-        const std::vector<UserId>* users = index.TokenUsers(other, token);
-        if (users == nullptr) continue;
-        for (const UserId candidate : *users) {
-          if (candidate >= u) break;  // sorted ascending
-          CandidateCells& cl = candidates[candidate];
-          // Opportunistic growth limiting only; SortUnique below is the
-          // authoritative dedup (their_cells interleaves across the
-          // outer leaf loop, so back() checks cannot catch everything).
-          if (cl.my_cells.empty() || cl.my_cells.back() != leaf.id) {
-            cl.my_cells.push_back(leaf.id);
-          }
-          if (cl.their_cells.empty() || cl.their_cells.back() != other) {
-            cl.their_cells.push_back(other);
-          }
-        }
-      }
-    }
-  }
+  CollectEarlierLeafCandidates(index, lu, u, /*rank=*/{}, &candidates,
+                               stats);
   if (stats != nullptr) {
     // Where did the earlier users go? Co-located users without a shared
     // token were pruned textually, the rest spatially.
@@ -337,46 +349,19 @@ double PPJDPair(const UserLayout& lu, size_t nu, const UserLayout& lv,
 std::vector<ScoredUserPair> SPPJD(const ObjectDatabase& db,
                                   const STPSQuery& query,
                                   const SPPJDOptions& options,
-                                  JoinStats* stats) {
+                                  JoinStats* stats,
+                                  const JoinPartition& partition) {
   STPS_CHECK(query.eps_doc > 0.0);
   STPS_CHECK(query.eps_u > 0.0);
-  std::vector<ScoredUserPair> result;
-  if (db.num_objects() == 0) return result;
-  const LeafPartitionIndex index = BuildIndex(db, query, options);
-  const MatchThresholds t = query.match_thresholds();
-  for (UserId u = 0; u < db.num_users(); ++u) {
-    ProcessUserD(db, index, query, t, u, &result, stats);
-  }
-  std::sort(result.begin(), result.end(), PairIdLess);
-  return result;
-}
-
-std::vector<ScoredUserPair> SPPJDParallel(const ObjectDatabase& db,
-                                          const STPSQuery& query,
-                                          const SPPJDOptions& options,
-                                          const ParallelOptions& parallel,
-                                          JoinStats* stats) {
-  STPS_CHECK(query.eps_doc > 0.0);
-  STPS_CHECK(query.eps_u > 0.0);
-  STPS_CHECK(parallel.num_threads >= 1);
   if (db.num_objects() == 0) return {};
   const LeafPartitionIndex index = BuildIndex(db, query, options);
   const MatchThresholds t = query.match_thresholds();
-
-  ThreadPool pool(parallel.num_threads);
-  const size_t slots = static_cast<size_t>(pool.num_threads());
-  std::vector<std::vector<ScoredUserPair>> per_worker(slots);
-  std::vector<JoinStats> worker_stats(slots);
-  pool.ParallelForEach(
-      0, db.num_users(), parallel.grain, [&](size_t u, int worker) {
-        ProcessUserD(db, index, query, t, static_cast<UserId>(u),
-                     &per_worker[static_cast<size_t>(worker)],
-                     stats != nullptr
-                         ? &worker_stats[static_cast<size_t>(worker)]
-                         : nullptr);
-      });
-  MergeWorkerStats(stats, worker_stats);
-  return MergeSortedPairs(&per_worker);
+  return ExecuteJoin(
+      db, partition,
+      [&](UserId u, std::vector<ScoredUserPair>* out, JoinStats* ws) {
+        ProcessUserD(db, index, query, t, u, out, ws);
+      },
+      stats);
 }
 
 }  // namespace stps

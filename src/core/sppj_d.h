@@ -11,10 +11,11 @@
 #ifndef STPS_CORE_SPPJ_D_H_
 #define STPS_CORE_SPPJ_D_H_
 
+#include <span>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/database.h"
+#include "core/join_executor.h"
 #include "core/join_stats.h"
 #include "core/similarity.h"
 #include "core/user_grid.h"
@@ -125,22 +126,28 @@ double PPJDPair(const UserLayout& lu, size_t nu, const UserLayout& lv,
                 const MatchThresholds& t, double eps_u,
                 JoinStats* stats = nullptr, size_t* matched_out = nullptr);
 
+/// The S-PPJ-D filter: probes the distinct tokens of every leaf of `lu`
+/// (user u's leaves) against the inverted lists of its relevant leaves,
+/// and records in `*candidates` every user ranked before u found there,
+/// with its supporting leaves (my_cells / their_cells may hold duplicates
+/// until SortUnique). `rank` maps user id -> processing rank; empty means
+/// id order, where the ascending lists let the scan stop at u.
+/// `candidates` must have had BeginRound called. Accrues cells_visited
+/// into `*stats` when non-null. Shared by S-PPJ-D and TopKSPPJD.
+void CollectEarlierLeafCandidates(
+    const LeafPartitionIndex& index, const UserLayout& lu, UserId u,
+    std::span<const uint32_t> rank,
+    UserCandidateTable<CandidateCells>* candidates, JoinStats* stats);
+
 /// Evaluates the STPSJoin query with S-PPJ-D. Same output contract as
-/// SPPJC. Preconditions: eps_doc > 0, eps_u > 0 (see S-PPJ-F).
+/// SPPJC. Preconditions: eps_doc > 0, eps_u > 0 (see S-PPJ-F). The leaf
+/// index is built once (it is not incremental); candidates are restricted
+/// to earlier users, so every `partition` gives the same result.
 std::vector<ScoredUserPair> SPPJD(const ObjectDatabase& db,
                                   const STPSQuery& query,
                                   const SPPJDOptions& options = {},
-                                  JoinStats* stats = nullptr);
-
-/// Parallel S-PPJ-D: the leaf index is built once (it is not
-/// incremental), then the probing-user loop runs on the work-stealing
-/// pool with candidates restricted to earlier users. Bit-identical to
-/// SPPJD at any thread count.
-std::vector<ScoredUserPair> SPPJDParallel(const ObjectDatabase& db,
-                                          const STPSQuery& query,
-                                          const SPPJDOptions& options,
-                                          const ParallelOptions& parallel,
-                                          JoinStats* stats = nullptr);
+                                  JoinStats* stats = nullptr,
+                                  const JoinPartition& partition = {});
 
 }  // namespace stps
 

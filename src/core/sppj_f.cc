@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/predicates.h"
-#include "core/parallel_util.h"
 #include "core/ppjb.h"
 #include "core/user_grid.h"
 
@@ -76,29 +75,31 @@ std::vector<ScoredUserPair> SPPJFAblation(const ObjectDatabase& db,
                                           const STPSQuery& query,
                                           bool use_sigma_bound,
                                           bool use_refine_bound,
-                                          JoinStats* stats) {
+                                          JoinStats* stats,
+                                          const JoinPartition& partition) {
   // The token-probing filter only sees pairs with at least one textually
   // overlapping object pair; it is complete exactly when a result pair
   // must contain a match (eps_u > 0) and a match must share a token
   // (eps_doc > 0).
   STPS_CHECK(query.eps_doc > 0.0);
   STPS_CHECK(query.eps_u > 0.0);
-  std::vector<ScoredUserPair> result;
-  if (db.num_objects() == 0) return result;
+  if (db.num_objects() == 0) return {};
   const UserGrid grid(db, query.eps_loc);
   const SpatioTextualGridIndex index(grid);
-  for (UserId u = 0; u < db.num_users(); ++u) {
-    SPPJFProcessUser(db, grid, index, query, u, &result, stats,
-                     use_sigma_bound, use_refine_bound);
-  }
-  std::sort(result.begin(), result.end(), PairIdLess);
-  return result;
+  return ExecuteJoin(
+      db, partition,
+      [&](UserId u, std::vector<ScoredUserPair>* out, JoinStats* ws) {
+        SPPJFProcessUser(db, grid, index, query, u, out, ws, use_sigma_bound,
+                         use_refine_bound);
+      },
+      stats);
 }
 
 std::vector<ScoredUserPair> SPPJF(const ObjectDatabase& db,
-                                  const STPSQuery& query, JoinStats* stats) {
+                                  const STPSQuery& query, JoinStats* stats,
+                                  const JoinPartition& partition) {
   return SPPJFAblation(db, query, /*use_sigma_bound=*/true,
-                       /*use_refine_bound=*/true, stats);
+                       /*use_refine_bound=*/true, stats, partition);
 }
 
 }  // namespace stps

@@ -9,10 +9,9 @@
 // (core/user_grid.h), and each user's pass scans the inverted lists only
 // up to its own rank — exactly the users the paper's incremental index
 // would hold at that point. The per-user pass (SPPJFProcessUser) is the
-// one S-PPJ-F pipeline: the sequential driver, the pool-parallel driver
-// (core/sppj_f_parallel.h) and the sharded driver (core/sharded_join.h)
-// all run it, which is what makes their results and JoinStats
-// bit-identical.
+// one S-PPJ-F pipeline; the join executor (core/join_executor.h) runs it
+// on one worker, a pool or user shards, with bit-identical results and
+// JoinStats.
 
 #ifndef STPS_CORE_SPPJ_F_H_
 #define STPS_CORE_SPPJ_F_H_
@@ -20,6 +19,7 @@
 #include <vector>
 
 #include "core/database.h"
+#include "core/join_executor.h"
 #include "core/join_stats.h"
 #include "core/similarity.h"
 
@@ -29,10 +29,11 @@ class UserGrid;                // core/user_grid.h
 class SpatioTextualGridIndex;  // core/user_grid.h
 
 /// Evaluates the STPSJoin query with S-PPJ-F. Same output contract as
-/// SPPJC.
+/// SPPJC. Preconditions: eps_doc > 0, eps_u > 0.
 std::vector<ScoredUserPair> SPPJF(const ObjectDatabase& db,
                                   const STPSQuery& query,
-                                  JoinStats* stats = nullptr);
+                                  JoinStats* stats = nullptr,
+                                  const JoinPartition& partition = {});
 
 /// Ablation variant used by the benchmarks: disables the sigma_bar
 /// candidate bound (`use_sigma_bound` = false) and/or the PPJ-B early
@@ -42,7 +43,8 @@ std::vector<ScoredUserPair> SPPJFAblation(const ObjectDatabase& db,
                                           const STPSQuery& query,
                                           bool use_sigma_bound,
                                           bool use_refine_bound,
-                                          JoinStats* stats = nullptr);
+                                          JoinStats* stats = nullptr,
+                                          const JoinPartition& partition = {});
 
 /// One user's filter/refine pass: candidates are restricted to users
 /// ranked before u in `index`, so each pair is evaluated exactly once no

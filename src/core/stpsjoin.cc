@@ -4,12 +4,11 @@
 #include <chrono>
 #include <cmath>
 
+#include "core/join_executor.h"
 #include "core/sppj_b.h"
 #include "core/sppj_c.h"
-#include "core/sharded_join.h"
 #include "core/sppj_d.h"
 #include "core/sppj_f.h"
-#include "core/sppj_f_parallel.h"
 #include "planner/feedback.h"
 #include "planner/planner.h"
 #include "sketch/sketch_join.h"
@@ -23,44 +22,41 @@ uint64_t RoundCount(double v) {
   return static_cast<uint64_t>(std::llround(v));
 }
 
-/// Executes a concrete (non-auto) join shape. Factored out so the
-/// umbrella can time the execution and feed the planner.
+uint64_t AllPairs(const ObjectDatabase& db) {
+  const uint64_t users = db.num_users();
+  return users < 2 ? 0 : users * (users - 1) / 2;
+}
+
+/// Executes a concrete (non-auto) join shape on the join executor.
+/// Factored out so the umbrella can time the execution and feed the
+/// planner.
 std::vector<ScoredUserPair> DispatchJoin(const ObjectDatabase& db,
                                          const STPSQuery& query,
                                          const JoinOptions& options,
-                                         int threads,
-                                         const ParallelOptions& parallel,
+                                         const JoinPartition& partition,
                                          bool use_sketch, JoinStats* stats) {
-  if (use_sketch) return SketchSTPSJoin(db, query, parallel, stats);
+  if (use_sketch) return SketchSTPSJoin(db, query, partition.parallel, stats);
   switch (options.algorithm) {
     case JoinAlgorithm::kBruteForce: {
       std::vector<ScoredUserPair> result = BruteForceSTPSJoin(db, query);
       if (stats != nullptr) {
         // Brute force considers and verifies every user pair; account for
         // it so kAuto-resolved runs keep the counter invariants.
-        const uint64_t users = db.num_users();
-        const uint64_t all_pairs = users < 2 ? 0 : users * (users - 1) / 2;
-        stats->pairs_candidate += all_pairs;
-        stats->pairs_verified += all_pairs;
+        stats->pairs_candidate += AllPairs(db);
+        stats->pairs_verified += AllPairs(db);
         stats->matches_found += result.size();
       }
       return result;
     }
     case JoinAlgorithm::kSPPJC:
-      if (threads > 1) return SPPJCParallel(db, query, parallel, stats);
-      return SPPJC(db, query, stats);
+      return SPPJC(db, query, stats, partition);
     case JoinAlgorithm::kSPPJB:
-      if (threads > 1) return SPPJBParallel(db, query, parallel, stats);
-      return SPPJB(db, query, stats);
+      return SPPJB(db, query, stats, partition);
     case JoinAlgorithm::kSPPJF:
-      if (threads > 1) return SPPJFParallel(db, query, parallel, stats);
-      return SPPJF(db, query, stats);
+      return SPPJF(db, query, stats, partition);
     case JoinAlgorithm::kSPPJD:
-      if (threads > 1) {
-        return SPPJDParallel(db, query, SPPJDOptions{options.rtree_fanout},
-                             parallel, stats);
-      }
-      return SPPJD(db, query, SPPJDOptions{options.rtree_fanout}, stats);
+      return SPPJD(db, query, SPPJDOptions{options.rtree_fanout}, stats,
+                   partition);
     case JoinAlgorithm::kAuto:
       break;  // resolved by RunSTPSJoin before dispatch
   }
@@ -74,37 +70,22 @@ std::vector<ScoredUserPair> DispatchTopK(const ObjectDatabase& db,
                                          TopKAlgorithm algorithm,
                                          bool use_sketch, JoinStats* stats) {
   if (use_sketch) return SketchTopKSTPSJoin(db, query, query.parallel, stats);
-  const bool parallel = query.parallel.num_threads > 1;
   switch (algorithm) {
     case TopKAlgorithm::kBruteForce: {
       std::vector<ScoredUserPair> result = BruteForceTopK(db, query);
       if (stats != nullptr) {
-        const uint64_t users = db.num_users();
-        const uint64_t all_pairs = users < 2 ? 0 : users * (users - 1) / 2;
-        stats->pairs_candidate += all_pairs;
-        stats->pairs_verified += all_pairs;
+        stats->pairs_candidate += AllPairs(db);
+        stats->pairs_verified += AllPairs(db);
         stats->matches_found += result.size();
       }
       return result;
     }
     case TopKAlgorithm::kF:
-      if (parallel) {
-        return TopKSTPSJoinParallel(db, query, TopKVariant::kF,
-                                    query.parallel, stats);
-      }
-      return TopKSTPSJoin(db, query, TopKVariant::kF, stats);
+      return TopKSTPSJoin(db, query, TopKVariant::kF, stats, query.parallel);
     case TopKAlgorithm::kS:
-      if (parallel) {
-        return TopKSTPSJoinParallel(db, query, TopKVariant::kS,
-                                    query.parallel, stats);
-      }
-      return TopKSTPSJoin(db, query, TopKVariant::kS, stats);
+      return TopKSTPSJoin(db, query, TopKVariant::kS, stats, query.parallel);
     case TopKAlgorithm::kP:
-      if (parallel) {
-        return TopKSTPSJoinParallel(db, query, TopKVariant::kP,
-                                    query.parallel, stats);
-      }
-      return TopKSTPSJoin(db, query, TopKVariant::kP, stats);
+      return TopKSTPSJoin(db, query, TopKVariant::kP, stats, query.parallel);
     case TopKAlgorithm::kAuto:
       break;  // resolved by RunTopKSTPSJoin before dispatch
   }
@@ -150,33 +131,31 @@ std::vector<ScoredUserPair> RunSTPSJoin(const ObjectDatabase& db,
 
   // Either knob may request parallelism; take the stronger one.
   const int threads = std::max(options.threads, query.parallel.num_threads);
-  const ParallelOptions parallel{threads, query.parallel.grain};
   // Sketch-generated candidates replace the per-algorithm filter stage
   // for every non-brute algorithm (verification is the shared PPJ-B
   // kernel, so results stay bit-identical). The band index is only a
   // sound filter when a match implies a common token, i.e. eps_doc > 0
-  // with a real threshold eps_u > 0; otherwise fall through to the
+  // with a real threshold eps_u > 0, and its verification walks the
+  // eps_loc grid, which needs eps_loc > 0; otherwise fall through to the
   // requested algorithm unchanged.
   const bool use_sketch = query.sketch.enabled &&
                           options.algorithm != JoinAlgorithm::kBruteForce &&
-                          query.eps_doc > 0.0 && query.eps_u > 0.0;
-
-  // Sharded execution (core/sharded_join.h): one thread per contiguous
-  // user range, built for paging over mmap'd snapshots. It runs the
-  // S-PPJ-F pipeline whatever exact algorithm was requested — all
-  // non-brute algorithms return bit-identical results, so this only
-  // changes the work, not the answer. Skips planner feedback: shard
-  // timings would poison the per-shape cost coefficients.
-  if (options.shards > 1 && !use_sketch &&
-      options.algorithm != JoinAlgorithm::kBruteForce &&
-      query.eps_doc > 0.0 && query.eps_u > 0.0) {
-    return ShardedSTPSJoin(db, query, options.shards, stats,
-                           options.prefetch);
-  }
+                          query.eps_loc > 0.0 && query.eps_doc > 0.0 &&
+                          query.eps_u > 0.0;
+  // Sharding is a partition policy of the join executor: every non-brute
+  // algorithm runs its own per-user pass over PlanUserShards ranges, one
+  // worker each — built for paging over mmap'd snapshots. Results and
+  // JoinStats are bit-identical to the unsharded run.
+  const bool sharded = options.shards > 1 && !use_sketch &&
+                       options.algorithm != JoinAlgorithm::kBruteForce;
+  const JoinPartition partition =
+      sharded ? JoinPartition::Sharded(options.shards, options.prefetch)
+              : JoinPartition(ParallelOptions{threads, query.parallel.grain});
 
   // Time the run and fold the measurement into the planner's feedback —
   // for explicit choices too, so benchmark sweeps over the static
-  // variants calibrate kAuto as a side effect.
+  // variants calibrate kAuto as a side effect. Sharded runs skip the
+  // feedback: shard timings would poison the per-shape cost coefficients.
   const bool record = db.has_planner_stats();
   PlanShape shape;
   shape.topk = false;
@@ -194,10 +173,12 @@ std::vector<ScoredUserPair> RunSTPSJoin(const ObjectDatabase& db,
   JoinStats* sink = stats != nullptr ? stats : &local;
   const auto start = std::chrono::steady_clock::now();
   std::vector<ScoredUserPair> result =
-      DispatchJoin(db, query, options, threads, parallel, use_sketch, sink);
+      DispatchJoin(db, query, options, partition, use_sketch, sink);
   if (record) {
-    PlannerFeedback::Global().Record(shape, estimate, cost_units, *sink,
-                                     ElapsedMs(start));
+    if (!sharded) {
+      PlannerFeedback::Global().Record(shape, estimate, cost_units, *sink,
+                                       ElapsedMs(start));
+    }
     if (stats != nullptr) {
       stats->planner_estimated_candidates =
           RoundCount(estimate.candidate_pairs);
@@ -287,6 +268,46 @@ std::vector<ScoredUserPair> FindSimilarUsers(const ObjectDatabase& db,
   }
   std::sort(result.begin(), result.end(), TopKBetter);
   return result;
+}
+
+Status ValidateQuery(const STPSQuery& query, JoinAlgorithm algorithm) {
+  // Negated comparisons so NaN thresholds fail too.
+  if (!(query.eps_loc >= 0.0) || !(query.eps_doc >= 0.0) ||
+      !(query.eps_doc <= 1.0) || !(query.eps_u >= 0.0) ||
+      !(query.eps_u <= 1.0)) {
+    return Status::InvalidArgument("thresholds out of range");
+  }
+  if (algorithm == JoinAlgorithm::kAuto ||
+      algorithm == JoinAlgorithm::kBruteForce) {
+    return Status::OK();
+  }
+  if (query.eps_doc <= 0.0 || query.eps_u <= 0.0) {
+    return Status::InvalidArgument(
+        "this algorithm requires eps_doc > 0 and eps_u > 0");
+  }
+  if (algorithm != JoinAlgorithm::kSPPJD && query.eps_loc <= 0.0) {
+    return Status::InvalidArgument("this algorithm requires eps_loc > 0");
+  }
+  return Status::OK();
+}
+
+Status ValidateQuery(const TopKQuery& query, TopKAlgorithm algorithm) {
+  if (!(query.eps_loc >= 0.0) || !(query.eps_doc >= 0.0) ||
+      !(query.eps_doc <= 1.0)) {
+    return Status::InvalidArgument("thresholds out of range");
+  }
+  if (query.k == 0) return Status::InvalidArgument("k must be > 0");
+  if (algorithm == TopKAlgorithm::kAuto ||
+      algorithm == TopKAlgorithm::kBruteForce) {
+    return Status::OK();
+  }
+  if (query.eps_doc <= 0.0) {
+    return Status::InvalidArgument("this variant requires eps_doc > 0");
+  }
+  if (query.eps_loc <= 0.0) {
+    return Status::InvalidArgument("this variant requires eps_loc > 0");
+  }
+  return Status::OK();
 }
 
 std::string_view JoinAlgorithmName(JoinAlgorithm algorithm) {

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/status.h"
 #include "core/database.h"
 #include "core/join_stats.h"
 #include "core/similarity.h"
@@ -47,16 +48,18 @@ struct JoinOptions {
   int rtree_fanout = 128;
   /// Worker threads; kept for backward compatibility with the old
   /// S-PPJ-F-only parallelism. The effective thread count is
-  /// max(threads, query.parallel.num_threads); when > 1, every grid- or
-  /// leaf-based algorithm dispatches to its pool-parallel driver (brute
-  /// force always runs sequentially).
+  /// max(threads, query.parallel.num_threads), clamped to at least 1: the
+  /// join executor (core/join_executor.h) runs every grid- or leaf-based
+  /// algorithm on that many pool workers (brute force always runs
+  /// sequentially).
   int threads = 1;
-  /// When > 1 (and the query is eligible: S-PPJ-F-shaped, no sketch
-  /// candidate generation), the join runs on the sharded driver
-  /// (core/sharded_join.h): users are partitioned into `shards`
-  /// contiguous ranges, one thread per shard, merged deterministically.
-  /// Bit-identical to shards == 1. Meant for mmap'd snapshots whose
-  /// working set exceeds RAM — shards page mostly disjoint arena ranges.
+  /// When > 1 (and no sketch candidate generation runs), every non-brute
+  /// algorithm runs sharded: the executor partitions the users into
+  /// `shards` contiguous PlanUserShards ranges, one worker per shard,
+  /// merged deterministically, in place of the `threads` pool. Results
+  /// and JoinStats are bit-identical to shards == 1; planner feedback is
+  /// skipped. Meant for mmap'd snapshots whose working set exceeds RAM —
+  /// shards page mostly disjoint arena ranges.
   int shards = 1;
   /// Advise the kernel about the sharded scan's access pattern before it
   /// starts (common/prefetch.h): POSIX_MADV_SEQUENTIAL over the SoA
@@ -90,9 +93,9 @@ std::vector<ScoredUserPair> RunSTPSJoin(const ObjectDatabase& db,
                                         JoinStats* stats = nullptr);
 
 /// Evaluates the top-k query; results best-first under TopKBetter.
-/// Precondition for the index-based variants: eps_doc > 0. When
-/// query.parallel.num_threads > 1, the index-based variants run on the
-/// work-stealing pool (identical results at any thread count). When
+/// Precondition for the index-based variants: eps_doc > 0. The
+/// index-based variants run on query.parallel.num_threads executor
+/// workers (identical results at any thread count). When
 /// query.sketch.enabled, every index-based variant verifies the sketch
 /// layer's candidates in count-min heavy-hitters order instead —
 /// bit-identical results, work reported via JoinStats::sketch_*.
@@ -109,6 +112,17 @@ std::vector<ScoredUserPair> RunTopKSTPSJoin(
 std::vector<ScoredUserPair> FindSimilarUsers(const ObjectDatabase& db,
                                              UserId u,
                                              const STPSQuery& query);
+
+/// Checks a query against the preconditions of the algorithm that would
+/// run it, so front ends (the server, the CLI) answer a hostile query with
+/// an error instead of tripping a driver's STPS_CHECK. Every algorithm
+/// needs eps_loc >= 0 and eps_doc, eps_u in [0, 1] (top-k: k > 0). The
+/// filter-based algorithms (S-PPJ-B/C/F/D; top-k F/S/P) need eps_doc > 0
+/// and, for threshold joins, eps_u > 0; the grid algorithms (S-PPJ-B/C/F;
+/// top-k F/S/P) also need eps_loc > 0. kAuto and brute force accept every
+/// in-range query. Returns InvalidArgument naming the violated rule.
+Status ValidateQuery(const STPSQuery& query, JoinAlgorithm algorithm);
+Status ValidateQuery(const TopKQuery& query, TopKAlgorithm algorithm);
 
 /// Display names ("S-PPJ-F", "TOPK-S-PPJ-P", ...) for reports.
 std::string_view JoinAlgorithmName(JoinAlgorithm algorithm);

@@ -5,7 +5,7 @@
 #include <span>
 
 #include "common/predicates.h"
-#include "core/parallel_util.h"
+#include "core/join_executor.h"
 #include "core/ppjb.h"
 #include "core/result_queue.h"
 #include "core/sppj_d.h"
@@ -89,7 +89,7 @@ size_t EstimateMatchableObjects(const UserLayout& cu,
   };
   size_t count = 0;
   // Hoisted per-thread scratch (runs once per probing user in the -P
-  // variants, sequential and pool-parallel alike).
+  // variant, on every executor worker).
   thread_local std::vector<CellId> neighbors;
   thread_local std::vector<CellId> occupied;
   for (const UserPartition& cell : cu) {
@@ -121,19 +121,22 @@ size_t EstimateMatchableObjects(const UserLayout& cu,
 // Refines u's candidates against `queue`: the sigma_bar count bound once
 // the queue is full (exact SigmaAtLeast, so a candidate that can still
 // *tie* the tail score survives and Offer settles it on the id order),
-// then the PPJ-B kernel with the queue threshold as eps_u — whose integer
+// then the pair kernel with the queue threshold as eps_u — whose integer
 // Lemma 1 budget likewise never prunes a pair landing exactly on the
-// threshold. Any nonzero PPJBPair return is exact, so offered pairs carry
-// exact scores.
-void RefineCandidates(const ObjectDatabase& db, const UserGrid& grid,
-                      const MatchThresholds& t, UserId u,
-                      const UserLayout& cu, size_t nu,
+// threshold. Any nonzero kernel return is exact, so offered pairs carry
+// exact scores. `layout(v)` is a user's partition list and
+// `verify(cv, nv, eps_u)` the kernel: grid cells with PPJ-B, or R-tree
+// leaves with PPJ-D (TopKSPPJD).
+template <typename Layout, typename Verify>
+void RefineCandidates(const ObjectDatabase& db, UserId u,
+                      const UserLayout& cu, size_t nu, const Layout& layout,
+                      const Verify& verify,
                       UserCandidateTable<CandidateCells>* candidates,
                       ResultQueue* queue, JoinStats* stats) {
   if (stats != nullptr) stats->pairs_candidate += candidates->size();
   for (const UserId candidate : candidates->SortedTouched()) {
     CandidateCells& cells = (*candidates)[candidate];
-    const UserLayout& cv = grid.UserCells(candidate);
+    const UserLayout& cv = layout(candidate);
     const size_t nv = db.UserObjectCount(candidate);
     const double eps_u = queue->Threshold();
     if (queue->full()) {
@@ -155,8 +158,7 @@ void RefineCandidates(const ObjectDatabase& db, const UserGrid& grid,
       }
     }
     if (stats != nullptr) ++stats->pairs_verified;
-    const double sigma =
-        PPJBPair(cu, nu, cv, nv, grid.geometry(), t, eps_u, stats);
+    const double sigma = verify(cv, nv, eps_u);
     if (sigma <= 0.0) continue;
     if (stats != nullptr) ++stats->matches_found;
     queue->Offer({std::min(u, candidate), std::max(u, candidate), sigma});
@@ -165,8 +167,8 @@ void RefineCandidates(const ObjectDatabase& db, const UserGrid& grid,
 
 // One user's top-k pass: user order[r] against `queue`. The Lemma 2
 // prefilter (-P), then token probing of the users ranked before it, then
-// refinement. The sequential driver runs it against the global queue, the
-// parallel driver against a worker's local queue.
+// refinement. The join executor runs it against a worker's local queue
+// (the only queue on one worker).
 void TopKProcessUser(const ObjectDatabase& db, const UserGrid& grid,
                      const SpatioTextualGridIndex& index,
                      const MatchThresholds& t, TopKVariant variant,
@@ -178,9 +180,9 @@ void TopKProcessUser(const ObjectDatabase& db, const UserGrid& grid,
 
   // TOPK-S-PPJ-P: Lemma 2 prefilter. Valid because every earlier user u'
   // has |Du'| <= |Du| under the ascending-size order, so the largest
-  // earlier size is the previous user's. A local queue of the parallel
-  // driver holds k real pairs, so anything below its threshold is outside
-  // the global top-k too.
+  // earlier size is the previous user's. A worker's local queue holds k
+  // real pairs, so anything below its threshold is outside the global
+  // top-k too.
   if (variant == TopKVariant::kP && r > 0 && queue->full()) {
     const size_t max_prev_size = db.UserObjectCount(order[r - 1]);
     if (max_prev_size > 0) {
@@ -198,7 +200,37 @@ void TopKProcessUser(const ObjectDatabase& db, const UserGrid& grid,
   candidates.BeginRound(db.num_users());
   CollectEarlierCandidates(grid.geometry(), index, cu, r, &candidates,
                            stats);
-  RefineCandidates(db, grid, t, u, cu, nu, &candidates, queue, stats);
+  RefineCandidates(
+      db, u, cu, nu,
+      [&grid](UserId v) -> const UserLayout& { return grid.UserCells(v); },
+      [&](const UserLayout& cv, size_t nv, double eps_u) {
+        return PPJBPair(cu, nu, cv, nv, grid.geometry(), t, eps_u, stats);
+      },
+      &candidates, queue, stats);
+}
+
+// One user's TopKSPPJD pass: user order[r] (rank[] inverts `order`)
+// against `queue`. The shared S-PPJ-D leaf filter over the users ranked
+// before it, then refinement with the PPJ-D kernel.
+void TopKProcessUserD(const ObjectDatabase& db,
+                      const LeafPartitionIndex& index,
+                      const MatchThresholds& t,
+                      std::span<const UserId> order,
+                      std::span<const uint32_t> rank, uint32_t r,
+                      ResultQueue* queue, JoinStats* stats) {
+  const UserId u = order[r];
+  const UserLayout& lu = index.UserLeaves(u);
+  const size_t nu = db.UserObjectCount(u);
+  thread_local UserCandidateTable<CandidateCells> candidates;
+  candidates.BeginRound(db.num_users());
+  CollectEarlierLeafCandidates(index, lu, u, rank, &candidates, stats);
+  RefineCandidates(
+      db, u, lu, nu,
+      [&index](UserId v) -> const UserLayout& { return index.UserLeaves(v); },
+      [&](const UserLayout& lv, size_t nv, double eps_u) {
+        return PPJDPair(lu, nu, lv, nv, index, t, eps_u, stats);
+      },
+      &candidates, queue, stats);
 }
 
 }  // namespace
@@ -206,11 +238,11 @@ void TopKProcessUser(const ObjectDatabase& db, const UserGrid& grid,
 std::vector<ScoredUserPair> TopKSTPSJoin(const ObjectDatabase& db,
                                          const TopKQuery& query,
                                          TopKVariant variant,
-                                         JoinStats* stats) {
+                                         JoinStats* stats,
+                                         const ParallelOptions& parallel) {
   STPS_CHECK(query.eps_doc > 0.0);
   STPS_CHECK(query.k > 0);
-  ResultQueue queue(query.k);
-  if (db.num_objects() == 0) return queue.TakeSorted();
+  if (db.num_objects() == 0) return {};
 
   const UserGrid grid(db, query.eps_loc);
   const MatchThresholds t = query.match_thresholds();
@@ -218,58 +250,21 @@ std::vector<ScoredUserPair> TopKSTPSJoin(const ObjectDatabase& db,
                                         ? OrderByPopularity(grid)
                                         : OrderBySize(db);
   const SpatioTextualGridIndex index(grid, order);
-  for (uint32_t r = 0; r < order.size(); ++r) {
-    TopKProcessUser(db, grid, index, t, variant, order, r, &queue, stats);
-  }
-  return queue.TakeSorted();
-}
-
-std::vector<ScoredUserPair> TopKSTPSJoinParallel(
-    const ObjectDatabase& db, const TopKQuery& query, TopKVariant variant,
-    const ParallelOptions& parallel, JoinStats* stats) {
-  STPS_CHECK(query.eps_doc > 0.0);
-  STPS_CHECK(query.k > 0);
-  STPS_CHECK(parallel.num_threads >= 1);
-  ResultQueue queue(query.k);
-  if (db.num_objects() == 0) return queue.TakeSorted();
-
-  const UserGrid grid(db, query.eps_loc);
-  const MatchThresholds t = query.match_thresholds();
-  const std::vector<UserId> order = variant == TopKVariant::kS
-                                        ? OrderByPopularity(grid)
-                                        : OrderBySize(db);
-  const SpatioTextualGridIndex index(grid, order);
-
-  ThreadPool pool(parallel.num_threads);
-  const size_t slots = static_cast<size_t>(pool.num_threads());
-  std::vector<ResultQueue> queues(slots, ResultQueue(query.k));
-  std::vector<JoinStats> worker_stats(slots);
-  pool.ParallelForEach(
-      0, order.size(), parallel.grain, [&](size_t r, int worker) {
-        TopKProcessUser(db, grid, index, t, variant, order,
-                        static_cast<uint32_t>(r),
-                        &queues[static_cast<size_t>(worker)],
-                        stats != nullptr
-                            ? &worker_stats[static_cast<size_t>(worker)]
-                            : nullptr);
-      });
-
-  for (const ResultQueue& local : queues) {
-    for (const ScoredUserPair& pair : local.TakeSorted()) {
-      queue.Offer(pair);
-    }
-  }
-  MergeWorkerStats(stats, worker_stats);
-  return queue.TakeSorted();
+  return ExecuteTopK(
+      order.size(), query.k, parallel,
+      [&](uint32_t r, ResultQueue* queue, JoinStats* ws) {
+        TopKProcessUser(db, grid, index, t, variant, order, r, queue, ws);
+      },
+      stats);
 }
 
 std::vector<ScoredUserPair> TopKSPPJD(const ObjectDatabase& db,
                                       const TopKQuery& query, int fanout,
-                                      JoinStats* stats) {
+                                      JoinStats* stats,
+                                      const ParallelOptions& parallel) {
   STPS_CHECK(query.eps_doc > 0.0);
   STPS_CHECK(query.k > 0);
-  ResultQueue queue(query.k);
-  if (db.num_objects() == 0) return queue.TakeSorted();
+  if (db.num_objects() == 0) return {};
 
   const LeafPartitionIndex index(db, query.eps_loc, fanout);
   const MatchThresholds t = query.match_thresholds();
@@ -279,79 +274,12 @@ std::vector<ScoredUserPair> TopKSPPJD(const ObjectDatabase& db,
   std::vector<uint32_t> rank(db.num_users(), 0);
   for (uint32_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
 
-  UserCandidateTable<CandidateCells> candidates;
-
-  TokenVector tokens;
-  for (const UserId u : order) {
-    const UserLayout& lu = index.UserLeaves(u);
-    const size_t nu = db.UserObjectCount(u);
-    candidates.BeginRound(db.num_users());
-    for (const UserPartition& leaf : lu) {
-      DistinctTokens(leaf.objects, &tokens);
-      for (const uint32_t other :
-           index.RelevantLeaves(static_cast<uint32_t>(leaf.id))) {
-        if (stats != nullptr) ++stats->cells_visited;
-        for (const TokenId token : tokens) {
-          const std::vector<UserId>* users = index.TokenUsers(other, token);
-          if (users == nullptr) continue;
-          for (const UserId candidate : *users) {
-            if (rank[candidate] >= rank[u]) continue;
-            CandidateCells& cl = candidates[candidate];
-            if (cl.my_cells.empty() || cl.my_cells.back() != leaf.id) {
-              cl.my_cells.push_back(leaf.id);
-            }
-            if (cl.their_cells.empty() || cl.their_cells.back() != other) {
-              cl.their_cells.push_back(other);
-            }
-          }
-        }
-      }
-    }
-    if (stats != nullptr) stats->pairs_candidate += candidates.size();
-    for (const UserId candidate : candidates.SortedTouched()) {
-      CandidateCells& leaves = candidates[candidate];
-      const UserLayout& lv = index.UserLeaves(candidate);
-      const size_t nv = db.UserObjectCount(candidate);
-      const double eps_u = queue.Threshold();
-      if (queue.full()) {
-        SortUnique(&leaves.my_cells);
-        SortUnique(&leaves.their_cells);
-        size_t m = 0;
-        for (const int64_t l : leaves.my_cells) {
-          m += PartitionObjectCount(lu, l);
-        }
-        for (const int64_t l : leaves.their_cells) {
-          m += PartitionObjectCount(lv, l);
-        }
-        // Exact counting form of sigma_bar < eps_u (see RefineCandidates).
-        if (!SigmaAtLeast(m, nu + nv, eps_u)) {
-          if (stats != nullptr) ++stats->pairs_pruned_count;
-          continue;
-        }
-      }
-      if (stats != nullptr) ++stats->pairs_verified;
-      const double sigma = PPJDPair(lu, nu, lv, nv, index, t, eps_u, stats);
-      if (sigma <= 0.0) continue;
-      if (stats != nullptr) ++stats->matches_found;
-      queue.Offer({std::min(u, candidate), std::max(u, candidate), sigma});
-    }
-  }
-  return queue.TakeSorted();
-}
-
-std::vector<ScoredUserPair> TopKSPPJF(const ObjectDatabase& db,
-                                      const TopKQuery& query) {
-  return TopKSTPSJoin(db, query, TopKVariant::kF);
-}
-
-std::vector<ScoredUserPair> TopKSPPJS(const ObjectDatabase& db,
-                                      const TopKQuery& query) {
-  return TopKSTPSJoin(db, query, TopKVariant::kS);
-}
-
-std::vector<ScoredUserPair> TopKSPPJP(const ObjectDatabase& db,
-                                      const TopKQuery& query) {
-  return TopKSTPSJoin(db, query, TopKVariant::kP);
+  return ExecuteTopK(
+      order.size(), query.k, parallel,
+      [&](uint32_t r, ResultQueue* queue, JoinStats* ws) {
+        TopKProcessUserD(db, index, t, order, rank, r, queue, ws);
+      },
+      stats);
 }
 
 }  // namespace stps

@@ -33,30 +33,16 @@ enum class TopKVariant {
 
 /// Evaluates the top-k STPSJoin query. Precondition: eps_doc > 0.
 /// Result is sorted best-first and has at most k entries (fewer when
-/// fewer than k pairs have sigma > 0).
+/// fewer than k pairs have sigma > 0). The spatio-textual index is built
+/// once over all users in processing-rank order and the per-rank passes
+/// run on the join executor (core/join_executor.h), one ResultQueue per
+/// worker; the result is identical at any `parallel.num_threads` because
+/// the top-k under the TopKBetter total order is unique.
 std::vector<ScoredUserPair> TopKSTPSJoin(const ObjectDatabase& db,
                                          const TopKQuery& query,
                                          TopKVariant variant,
-                                         JoinStats* stats = nullptr);
-
-/// Parallel top-k: the spatio-textual index is built once over all users
-/// in processing-rank order, workers keep thread-local ResultQueues
-/// (their thresholds are conservative: a local queue holds k real pairs,
-/// so anything it prunes is outside the global top-k), and the local
-/// queues are merged at the end. The result is identical to the
-/// sequential TopKSTPSJoin at any thread count because the top-k under
-/// the TopKBetter total order is unique.
-std::vector<ScoredUserPair> TopKSTPSJoinParallel(
-    const ObjectDatabase& db, const TopKQuery& query, TopKVariant variant,
-    const ParallelOptions& parallel, JoinStats* stats = nullptr);
-
-/// Convenience wrappers.
-std::vector<ScoredUserPair> TopKSPPJF(const ObjectDatabase& db,
-                                      const TopKQuery& query);
-std::vector<ScoredUserPair> TopKSPPJS(const ObjectDatabase& db,
-                                      const TopKQuery& query);
-std::vector<ScoredUserPair> TopKSPPJP(const ObjectDatabase& db,
-                                      const TopKQuery& query);
+                                         JoinStats* stats = nullptr,
+                                         const ParallelOptions& parallel = {});
 
 /// The R-tree-partitioned top-k variant the paper mentions but omits
 /// pseudocode for (Section 4.2.1: "the same principle can be
@@ -65,7 +51,8 @@ std::vector<ScoredUserPair> TopKSPPJP(const ObjectDatabase& db,
 std::vector<ScoredUserPair> TopKSPPJD(const ObjectDatabase& db,
                                       const TopKQuery& query,
                                       int fanout = 128,
-                                      JoinStats* stats = nullptr);
+                                      JoinStats* stats = nullptr,
+                                      const ParallelOptions& parallel = {});
 
 }  // namespace stps
 

@@ -20,8 +20,8 @@
 // users, in the query's processing order. Every list ascends in that
 // order, so a probing user sees exactly the users the incremental index
 // would hold by scanning a list until the first entry of its own rank.
-// Built once and read-only afterwards, it is shared by the sequential and
-// parallel drivers alike.
+// Built once and read-only afterwards, it is shared by every executor
+// worker.
 
 #ifndef STPS_CORE_USER_GRID_H_
 #define STPS_CORE_USER_GRID_H_

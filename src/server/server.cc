@@ -537,17 +537,9 @@ bool QueryServer::HandleRequest(const std::string& line, std::string* out) {
             "[THREADS <n>] [SKETCH]\n");
         return true;
       }
-      if (query.eps_loc < 0 || query.eps_doc < 0 || query.eps_doc > 1 ||
-          query.eps_u < 0 || query.eps_u > 1) {
-        out->append("ERR thresholds out of range\n");
-        return true;
-      }
-      // The filter-based algorithms require real textual thresholds;
-      // kAuto and brute force handle the degenerate cases themselves.
-      if (join_options.algorithm != JoinAlgorithm::kAuto &&
-          join_options.algorithm != JoinAlgorithm::kBruteForce &&
-          (query.eps_doc <= 0 || query.eps_u <= 0)) {
-        out->append("ERR this algorithm requires eps_doc > 0 and eps_u > 0\n");
+      if (const Status valid = ValidateQuery(query, join_options.algorithm);
+          !valid.ok()) {
+        out->append("ERR " + valid.message() + "\n");
         return true;
       }
       query.sketch.enabled = sketch;
@@ -570,13 +562,8 @@ bool QueryServer::HandleRequest(const std::string& line, std::string* out) {
           "[THREADS <n>] [SKETCH]\n");
       return true;
     }
-    if (query.eps_loc < 0 || query.eps_doc < 0 || query.eps_doc > 1) {
-      out->append("ERR thresholds out of range\n");
-      return true;
-    }
-    if (algorithm != TopKAlgorithm::kAuto &&
-        algorithm != TopKAlgorithm::kBruteForce && query.eps_doc <= 0) {
-      out->append("ERR this variant requires eps_doc > 0\n");
+    if (const Status valid = ValidateQuery(query, algorithm); !valid.ok()) {
+      out->append("ERR " + valid.message() + "\n");
       return true;
     }
     query.sketch.enabled = sketch;

@@ -1,11 +1,10 @@
 #include "sketch/sketch_join.h"
 
-#include <algorithm>
 #include <cstdint>
 
 #include "common/predicates.h"
 #include "core/database.h"
-#include "core/parallel_util.h"
+#include "core/join_executor.h"
 #include "core/ppjb.h"
 #include "core/result_queue.h"
 #include "core/user_grid.h"
@@ -32,46 +31,35 @@ std::vector<ScoredUserPair> SketchSTPSJoin(const ObjectDatabase& db,
 
   const UserGrid grid(db, query.eps_loc);
   const MatchThresholds t = query.match_thresholds();
-  const size_t n = cand.pairs.size();
-
-  // Every candidate verifies independently into its own slot, so the
-  // surviving pairs — already in (a, b) order — need no post-merge sort
-  // and the result is bit-identical at any thread count. With
-  // num_threads == 1 the pool runs the loop inline in ascending order.
-  std::vector<ScoredUserPair> slot(n);
-  std::vector<uint8_t> hit(n, 0);
-  ThreadPool pool(std::max(parallel.num_threads, 1));
-  std::vector<JoinStats> worker_stats(
-      static_cast<size_t>(pool.num_threads()));
-  pool.ParallelForEach(0, n, parallel.grain, [&](size_t i, int worker) {
-    const auto [a, b] = cand.pairs[i];
-    JoinStats* ws = stats != nullptr
-                        ? &worker_stats[static_cast<size_t>(worker)]
-                        : nullptr;
-    const UserLayout& cu = grid.UserCells(a);
-    const UserLayout& cv = grid.UserCells(b);
-    const size_t na = db.UserObjectCount(a);
-    const size_t nb = db.UserObjectCount(b);
-    if (ws != nullptr) ++ws->pairs_verified;
-    size_t matched = 0;
-    const double sigma = PPJBPair(cu, na, cv, nb, grid.geometry(), t,
-                                  query.eps_u, ws, &matched);
-    // Membership on the exact count, exactly as the brute-force
-    // reference: a pruned kernel leaves a partial count that can only
-    // fail the (monotone) predicate, and a passing count implies the
-    // kernel ran to completion, so `sigma` is the exact score.
-    if (!SigmaAtLeast(matched, na + nb, query.eps_u)) return;
-    if (ws != nullptr) ++ws->matches_found;
-    slot[i] = {a, b, sigma};
-    hit[i] = 1;
-  });
-  MergeWorkerStats(stats, worker_stats);
-
-  std::vector<ScoredUserPair> out;
-  for (size_t i = 0; i < n; ++i) {
-    if (hit[i] != 0) out.push_back(slot[i]);
-  }
-  return out;
+  // The candidates are sorted by (a, b): user a's pairs are the run
+  // [first[a], first[a + 1]), verified by a's pass on the join executor.
+  std::vector<size_t> first(db.num_users() + 1, 0);
+  for (const auto& [a, b] : cand.pairs) ++first[a + 1];
+  for (size_t u = 0; u < db.num_users(); ++u) first[u + 1] += first[u];
+  return ExecuteJoin(
+      db, parallel,
+      [&](UserId a, std::vector<ScoredUserPair>* out, JoinStats* ws) {
+        const UserLayout& cu = grid.UserCells(a);
+        const size_t na = db.UserObjectCount(a);
+        for (size_t i = first[a]; i < first[a + 1]; ++i) {
+          const UserId b = cand.pairs[i].second;
+          const size_t nb = db.UserObjectCount(b);
+          if (ws != nullptr) ++ws->pairs_verified;
+          size_t matched = 0;
+          const double sigma =
+              PPJBPair(cu, na, grid.UserCells(b), nb, grid.geometry(), t,
+                       query.eps_u, ws, &matched);
+          // Membership on the exact count, exactly as the brute-force
+          // reference: a pruned kernel leaves a partial count that can
+          // only fail the (monotone) predicate, and a passing count
+          // implies the kernel ran to completion, so `sigma` is the
+          // exact score.
+          if (!SigmaAtLeast(matched, na + nb, query.eps_u)) continue;
+          if (ws != nullptr) ++ws->matches_found;
+          out->push_back({a, b, sigma});
+        }
+      },
+      stats);
 }
 
 namespace {
@@ -106,8 +94,7 @@ std::vector<ScoredUserPair> SketchTopKSTPSJoin(
     const ParallelOptions& parallel, JoinStats* stats) {
   STPS_CHECK(query.eps_doc > 0.0);
   STPS_CHECK(query.k > 0);
-  ResultQueue queue(query.k);
-  if (db.num_objects() == 0) return queue.TakeSorted();
+  if (db.num_objects() == 0) return {};
 
   const SketchCandidates cand =
       db.sketches().GenerateCandidates(query.eps_loc, query.sketch);
@@ -116,45 +103,19 @@ std::vector<ScoredUserPair> SketchTopKSTPSJoin(
     stats->sketch_rejections += cand.rejections;
     stats->pairs_candidate += cand.pairs.size();
   }
-  if (cand.pairs.empty()) return queue.TakeSorted();
+  if (cand.pairs.empty()) return {};
 
   const UserGrid grid(db, query.eps_loc);
   const MatchThresholds t = query.match_thresholds();
-
-  const int threads = std::max(parallel.num_threads, 1);
-  if (threads == 1) {
-    // Heavy-hitters-first: the count-min-ranked pairs fill the queue with
-    // high-overlap pairs early, so Threshold() rises after ~k pairs and
-    // the Lemma 1 budget early-terminates most of the tail.
-    for (const uint32_t idx : cand.priority) {
-      VerifyIntoQueue(db, grid, t, cand.pairs[idx], &queue, stats);
-    }
-    return queue.TakeSorted();
-  }
-
-  // Thread-local queues, merged via Offer: a local queue only ever holds
-  // real (exactly verified) pairs, so its threshold is a sound global
-  // bound — any pair it prunes is beaten by k real pairs and cannot be in
-  // the global top-k (same argument as TopKSTPSJoinParallel).
-  ThreadPool pool(threads);
-  const size_t slots = static_cast<size_t>(pool.num_threads());
-  std::vector<ResultQueue> queues(slots, ResultQueue(query.k));
-  std::vector<JoinStats> worker_stats(slots);
-  pool.ParallelForEach(
-      0, cand.priority.size(), parallel.grain, [&](size_t i, int worker) {
-        JoinStats* ws = stats != nullptr
-                            ? &worker_stats[static_cast<size_t>(worker)]
-                            : nullptr;
-        VerifyIntoQueue(db, grid, t, cand.pairs[cand.priority[i]],
-                        &queues[static_cast<size_t>(worker)], ws);
-      });
-  for (const ResultQueue& local : queues) {
-    for (const ScoredUserPair& pair : local.TakeSorted()) {
-      queue.Offer(pair);
-    }
-  }
-  MergeWorkerStats(stats, worker_stats);
-  return queue.TakeSorted();
+  // Heavy-hitters-first: the count-min-ranked pairs fill each worker's
+  // queue with high-overlap pairs early, so Threshold() rises after ~k
+  // pairs and the Lemma 1 budget early-terminates most of the tail.
+  return ExecuteTopK(
+      cand.priority.size(), query.k, parallel,
+      [&](uint32_t r, ResultQueue* queue, JoinStats* ws) {
+        VerifyIntoQueue(db, grid, t, cand.pairs[cand.priority[r]], queue, ws);
+      },
+      stats);
 }
 
 }  // namespace stps

@@ -2,7 +2,8 @@
 // UserSketchIndex::GenerateCandidates (a provable superset of every
 // result pair — see sketch/sketch.h), and every candidate is settled by
 // the exact PPJ-B kernel, so results are bit-identical to brute force at
-// any thread count. RunSTPSJoin / RunTopKSTPSJoin dispatch here when
+// any thread count. Both drivers run on the join executor
+// (core/join_executor.h). RunSTPSJoin / RunTopKSTPSJoin dispatch here when
 // query.sketch.enabled (core/stpsjoin.cc); the per-algorithm headers stay
 // sketch-free.
 

@@ -3,6 +3,9 @@
 // Every algorithm must agree with the brute-force reference on all of
 // them.
 
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/stpsjoin.h"
@@ -204,6 +207,69 @@ TEST(EdgeCaseTest, UsersWithDisjointVocabulariesNeverPair) {
   const STPSQuery query{0.1, 0.1, 0.1};
   EXPECT_TRUE(RunSTPSJoin(db, query).empty());
   EXPECT_TRUE(RunTopKSTPSJoin(db, {0.1, 0.1, 5}).empty());
+}
+
+TEST(EdgeCaseTest, ValidateQueryRejectsWhatADriverCannotRun) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Threshold joins: in-range queries pass for kAuto and brute force.
+  for (const JoinAlgorithm algorithm :
+       {JoinAlgorithm::kAuto, JoinAlgorithm::kBruteForce}) {
+    EXPECT_TRUE(ValidateQuery(STPSQuery{0.0, 0.0, 0.0}, algorithm).ok());
+    EXPECT_TRUE(ValidateQuery(STPSQuery{0.0, 1.0, 1.0}, algorithm).ok());
+  }
+  for (const JoinAlgorithm algorithm :
+       {JoinAlgorithm::kAuto, JoinAlgorithm::kBruteForce,
+        JoinAlgorithm::kSPPJC, JoinAlgorithm::kSPPJB, JoinAlgorithm::kSPPJF,
+        JoinAlgorithm::kSPPJD}) {
+    const std::string name(JoinAlgorithmName(algorithm));
+    EXPECT_TRUE(ValidateQuery(STPSQuery{0.1, 0.3, 0.3}, algorithm).ok())
+        << name;
+    for (const STPSQuery bad :
+         {STPSQuery{-0.1, 0.3, 0.3}, STPSQuery{0.1, 1.5, 0.3},
+          STPSQuery{0.1, 0.3, -0.2}, STPSQuery{0.1, 0.3, 1.01},
+          STPSQuery{nan, 0.3, 0.3}, STPSQuery{0.1, nan, 0.3},
+          STPSQuery{0.1, 0.3, nan}}) {
+      const Status status = ValidateQuery(bad, algorithm);
+      EXPECT_FALSE(status.ok()) << name;
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << name;
+    }
+  }
+  // The filter-based algorithms need eps_doc > 0 and eps_u > 0; the grid
+  // algorithms also need eps_loc > 0, S-PPJ-D does not.
+  for (const JoinAlgorithm algorithm :
+       {JoinAlgorithm::kSPPJC, JoinAlgorithm::kSPPJB, JoinAlgorithm::kSPPJF,
+        JoinAlgorithm::kSPPJD}) {
+    const std::string name(JoinAlgorithmName(algorithm));
+    EXPECT_FALSE(ValidateQuery(STPSQuery{0.1, 0.0, 0.3}, algorithm).ok())
+        << name;
+    EXPECT_FALSE(ValidateQuery(STPSQuery{0.1, 0.3, 0.0}, algorithm).ok())
+        << name;
+    EXPECT_EQ(ValidateQuery(STPSQuery{0.0, 0.3, 0.3}, algorithm).ok(),
+              algorithm == JoinAlgorithm::kSPPJD)
+        << name;
+  }
+  // Top-k: kAuto and brute force take eps_loc = 0 and eps_doc = 0; the
+  // index variants need both > 0. k = 0 and out-of-range thresholds fail
+  // everywhere.
+  for (const TopKAlgorithm algorithm :
+       {TopKAlgorithm::kAuto, TopKAlgorithm::kBruteForce, TopKAlgorithm::kF,
+        TopKAlgorithm::kS, TopKAlgorithm::kP}) {
+    const std::string name(TopKAlgorithmName(algorithm));
+    const bool open = algorithm == TopKAlgorithm::kAuto ||
+                      algorithm == TopKAlgorithm::kBruteForce;
+    EXPECT_TRUE(ValidateQuery(TopKQuery{0.1, 0.3, 5}, algorithm).ok())
+        << name;
+    EXPECT_EQ(ValidateQuery(TopKQuery{0.0, 0.3, 5}, algorithm).ok(), open)
+        << name;
+    EXPECT_EQ(ValidateQuery(TopKQuery{0.1, 0.0, 5}, algorithm).ok(), open)
+        << name;
+    for (const TopKQuery bad :
+         {TopKQuery{0.1, 0.3, 0}, TopKQuery{-1.0, 0.3, 5},
+          TopKQuery{0.1, 1.5, 5}, TopKQuery{nan, 0.3, 5},
+          TopKQuery{0.1, nan, 5}}) {
+      EXPECT_FALSE(ValidateQuery(bad, algorithm).ok()) << name;
+    }
+  }
 }
 
 }  // namespace

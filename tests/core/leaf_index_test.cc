@@ -234,7 +234,8 @@ TEST(SpatioTextualGridIndexTest, EmptyInputsBuildAnEmptyIndex) {
   // every driver returns before building one.
   const ObjectDatabase empty = DatabaseBuilder().Build();
   EXPECT_TRUE(SPPJF(empty, STPSQuery{0.05, 0.3, 0.3}).empty());
-  EXPECT_TRUE(TopKSPPJF(empty, TopKQuery{0.05, 0.3, 5}).empty());
+  EXPECT_TRUE(
+      TopKSTPSJoin(empty, TopKQuery{0.05, 0.3, 5}, TopKVariant::kF).empty());
   // Over a real grid, an empty processing order indexes nothing.
   const ObjectDatabase db = BuildRandomDatabase(RandomDbSpec{});
   const UserGrid grid(db, 0.05);

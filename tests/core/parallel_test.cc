@@ -1,7 +1,7 @@
-// Determinism suite for the pool-parallel join drivers: every parallel
-// algorithm must produce bit-identical results (tolerance 0) to its
-// sequential counterpart at 1, 2, and 8 threads, with identical
-// JoinStats counters, on seeded random datasets.
+// Determinism suite for the join executor: every algorithm must produce
+// bit-identical results (tolerance 0) on the pool at 1, 2, and 8 threads
+// to its default one-worker run, with identical JoinStats counters, on
+// seeded random datasets.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "core/sppj_c.h"
 #include "core/sppj_d.h"
 #include "core/sppj_f.h"
-#include "core/sppj_f_parallel.h"
 #include "core/stpsjoin.h"
 #include "core/topk.h"
 #include "test_util.h"
@@ -32,7 +31,7 @@ TEST_P(ParallelJoinTest, SPPJFMatchesSequentialBitIdentical) {
     const STPSQuery query{0.1, 0.3, 0.25};
     JoinStats seq_stats, par_stats;
     const auto expected = SPPJF(db, query, &seq_stats);
-    const auto actual = SPPJFParallel(db, query, parallel, &par_stats);
+    const auto actual = SPPJF(db, query, &par_stats, parallel);
     EXPECT_TRUE(SameResults(actual, expected, /*tolerance=*/0.0))
         << "threads=" << parallel.num_threads << " seed=" << seed;
     EXPECT_EQ(par_stats, seq_stats)
@@ -50,7 +49,7 @@ TEST_P(ParallelJoinTest, SPPJBMatchesSequentialBitIdentical) {
     const STPSQuery query{0.1, 0.3, 0.25};
     JoinStats seq_stats, par_stats;
     const auto expected = SPPJB(db, query, &seq_stats);
-    const auto actual = SPPJBParallel(db, query, parallel, &par_stats);
+    const auto actual = SPPJB(db, query, &par_stats, parallel);
     EXPECT_TRUE(SameResults(actual, expected, /*tolerance=*/0.0))
         << "threads=" << parallel.num_threads << " seed=" << seed;
     EXPECT_EQ(par_stats, seq_stats);
@@ -67,7 +66,7 @@ TEST_P(ParallelJoinTest, SPPJCMatchesSequentialBitIdentical) {
     const STPSQuery query{0.1, 0.3, 0.25};
     JoinStats seq_stats, par_stats;
     const auto expected = SPPJC(db, query, &seq_stats);
-    const auto actual = SPPJCParallel(db, query, parallel, &par_stats);
+    const auto actual = SPPJC(db, query, &par_stats, parallel);
     EXPECT_TRUE(SameResults(actual, expected, /*tolerance=*/0.0))
         << "threads=" << parallel.num_threads << " seed=" << seed;
     EXPECT_EQ(par_stats, seq_stats);
@@ -88,8 +87,7 @@ TEST_P(ParallelJoinTest, SPPJDMatchesSequentialBitIdentical) {
       options.partitioning = scheme;
       JoinStats seq_stats, par_stats;
       const auto expected = SPPJD(db, query, options, &seq_stats);
-      const auto actual =
-          SPPJDParallel(db, query, options, parallel, &par_stats);
+      const auto actual = SPPJD(db, query, options, &par_stats, parallel);
       EXPECT_TRUE(SameResults(actual, expected, /*tolerance=*/0.0))
           << "threads=" << parallel.num_threads << " seed=" << seed;
       EXPECT_EQ(par_stats, seq_stats);
@@ -112,7 +110,7 @@ TEST_P(ParallelJoinTest, TopKMatchesSequentialBitIdentical) {
            {TopKVariant::kF, TopKVariant::kS, TopKVariant::kP}) {
         const auto expected = TopKSTPSJoin(db, query, variant);
         const auto actual =
-            TopKSTPSJoinParallel(db, query, variant, parallel);
+            TopKSTPSJoin(db, query, variant, nullptr, parallel);
         EXPECT_TRUE(SameResults(actual, expected, /*tolerance=*/0.0))
             << "threads=" << parallel.num_threads << " seed=" << seed
             << " k=" << k << " variant=" << static_cast<int>(variant);
@@ -125,8 +123,8 @@ TEST_P(ParallelJoinTest, DeterministicAcrossRuns) {
   const ParallelOptions parallel{GetParam(), 0};
   const ObjectDatabase db = BuildRandomDatabase(RandomDbSpec{});
   const STPSQuery query{0.08, 0.4, 0.2};
-  const auto first = SPPJFParallel(db, query, parallel);
-  const auto second = SPPJFParallel(db, query, parallel);
+  const auto first = SPPJF(db, query, nullptr, parallel);
+  const auto second = SPPJF(db, query, nullptr, parallel);
   EXPECT_TRUE(SameResults(first, second, /*tolerance=*/0.0));
 }
 
@@ -136,7 +134,8 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelJoinTest,
 TEST(ParallelJoinTest, EmptyDatabase) {
   DatabaseBuilder builder;
   const ObjectDatabase db = std::move(builder).Build();
-  EXPECT_TRUE(SPPJFParallel(db, {0.1, 0.3, 0.3}, 4).empty());
+  EXPECT_TRUE(
+      SPPJF(db, {0.1, 0.3, 0.3}, nullptr, ParallelOptions{4, 0}).empty());
 }
 
 TEST(ParallelJoinTest, MoreThreadsThanUsers) {
@@ -144,7 +143,8 @@ TEST(ParallelJoinTest, MoreThreadsThanUsers) {
   spec.num_users = 3;
   const ObjectDatabase db = BuildRandomDatabase(spec);
   const STPSQuery query{0.2, 0.2, 0.1};
-  EXPECT_TRUE(SameResults(SPPJFParallel(db, query, 16), SPPJF(db, query)));
+  EXPECT_TRUE(SameResults(SPPJF(db, query, nullptr, ParallelOptions{16, 0}),
+                          SPPJF(db, query)));
 }
 
 TEST(ParallelJoinTest, QueryParallelOptionsRouteThroughRunSTPSJoin) {
@@ -156,11 +156,16 @@ TEST(ParallelJoinTest, QueryParallelOptionsRouteThroughRunSTPSJoin) {
     JoinOptions options;
     options.algorithm = algorithm;
     const auto expected = RunSTPSJoin(db, query, options);
-    query.parallel = ParallelOptions{8, 2};
-    const auto actual = RunSTPSJoin(db, query, options);
-    query.parallel = ParallelOptions{};
-    EXPECT_TRUE(SameResults(actual, expected, /*tolerance=*/0.0))
-        << JoinAlgorithmName(algorithm);
+    // The second input sets both thread knobs to 0, which must clamp to
+    // one worker.
+    for (const int threads : {8, 0}) {
+      query.parallel = ParallelOptions{threads, threads > 0 ? 2u : 0u};
+      if (threads == 0) options.threads = 0;
+      const auto actual = RunSTPSJoin(db, query, options);
+      query.parallel = ParallelOptions{};
+      EXPECT_TRUE(SameResults(actual, expected, /*tolerance=*/0.0))
+          << JoinAlgorithmName(algorithm) << " threads=" << threads;
+    }
   }
 }
 
@@ -210,8 +215,8 @@ TEST(ParallelJoinTest, InterleavedCandidateCellsAreDeduplicated) {
             seq_stats.pairs_pruned_count + seq_stats.pairs_verified);
   for (const int threads : {1, 2, 8}) {
     JoinStats par_stats;
-    const auto parallel = SPPJFParallel(
-        db, query, ParallelOptions{threads, 1}, &par_stats);
+    const auto parallel =
+        SPPJF(db, query, &par_stats, ParallelOptions{threads, 1});
     EXPECT_TRUE(SameResults(parallel, sequential, /*tolerance=*/0.0));
     // Identical counters imply both sides saw the same deduplicated
     // supporting-cell sets (a missed dedup shifts pairs_pruned_count).

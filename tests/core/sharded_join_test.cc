@@ -1,14 +1,14 @@
-// Sharded join driver: shard planning invariants, and bit-identical
-// results + stats against the unsharded parallel driver at every shard
-// count (the ISSUE-level contract behind `--shards N`).
+// Sharded execution on the join executor: shard planning invariants, and
+// bit-identical results + stats against the unsharded pool at every shard
+// count (the contract behind `--shards N`).
 
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/sharded_join.h"
-#include "core/sppj_f_parallel.h"
+#include "core/join_executor.h"
+#include "core/sppj_f.h"
 #include "core/stpsjoin.h"
 #include "test_util.h"
 
@@ -61,11 +61,11 @@ TEST(ShardedJoinTest, BitIdenticalToUnshardedAtEveryShardCount) {
   const STPSQuery query = DefaultQuery();
   JoinStats reference_stats;
   const std::vector<ScoredUserPair> reference =
-      SPPJFParallel(db, query, ParallelOptions{2, 0}, &reference_stats);
+      SPPJF(db, query, &reference_stats, ParallelOptions{2, 0});
   for (const int shards : {1, 2, 8}) {
     JoinStats stats;
     const std::vector<ScoredUserPair> sharded =
-        ShardedSTPSJoin(db, query, shards, &stats);
+        SPPJF(db, query, &stats, JoinPartition::Sharded(shards));
     ASSERT_EQ(sharded.size(), reference.size()) << "shards=" << shards;
     for (size_t i = 0; i < sharded.size(); ++i) {
       EXPECT_EQ(sharded[i].a, reference[i].a) << "shards=" << shards;
@@ -99,10 +99,10 @@ TEST(ShardedJoinTest, SkewedUserSizesStayIdentical) {
   STPSQuery query = DefaultQuery();
   query.eps_u = 0.05;
   const std::vector<ScoredUserPair> reference =
-      SPPJFParallel(db, query, /*num_threads=*/2);
+      SPPJF(db, query, nullptr, ParallelOptions{2, 0});
   for (const int shards : {2, 8}) {
     const std::vector<ScoredUserPair> sharded =
-        ShardedSTPSJoin(db, query, shards);
+        SPPJF(db, query, nullptr, JoinPartition::Sharded(shards));
     ASSERT_EQ(sharded.size(), reference.size());
     for (size_t i = 0; i < sharded.size(); ++i) {
       EXPECT_EQ(sharded[i].a, reference[i].a);
@@ -116,25 +116,39 @@ TEST(ShardedJoinTest, EmptyDatabaseReturnsNothing) {
   DatabaseBuilder builder;
   const ObjectDatabase db = std::move(builder).Build();
   JoinStats stats;
-  EXPECT_TRUE(ShardedSTPSJoin(db, DefaultQuery(), 4, &stats).empty());
+  EXPECT_TRUE(
+      SPPJF(db, DefaultQuery(), &stats, JoinPartition::Sharded(4)).empty());
   EXPECT_EQ(stats.pairs_candidate, 0u);
 }
 
 TEST(ShardedJoinTest, RoutedThroughRunSTPSJoin) {
   const ObjectDatabase db = BuildRandomDatabase(RandomDbSpec{});
   const STPSQuery query = DefaultQuery();
-  JoinOptions unsharded;
-  unsharded.algorithm = JoinAlgorithm::kSPPJF;
-  const auto reference = RunSTPSJoin(db, query, unsharded);
-  JoinOptions options;
-  options.algorithm = JoinAlgorithm::kSPPJF;
-  options.shards = 8;
-  const auto sharded = RunSTPSJoin(db, query, options);
-  ASSERT_EQ(sharded.size(), reference.size());
-  for (size_t i = 0; i < sharded.size(); ++i) {
-    EXPECT_EQ(sharded[i].a, reference[i].a);
-    EXPECT_EQ(sharded[i].b, reference[i].b);
-    EXPECT_EQ(sharded[i].score, reference[i].score);
+  // Every non-brute algorithm shards and keeps its own results and stats.
+  for (const JoinAlgorithm algorithm :
+       {JoinAlgorithm::kSPPJC, JoinAlgorithm::kSPPJB, JoinAlgorithm::kSPPJF,
+        JoinAlgorithm::kSPPJD}) {
+    JoinOptions unsharded;
+    unsharded.algorithm = algorithm;
+    JoinStats reference_stats;
+    const auto reference = RunSTPSJoin(db, query, unsharded, &reference_stats);
+    for (const int shards : {1, 2, 8}) {
+      JoinOptions options;
+      options.algorithm = algorithm;
+      options.shards = shards;
+      JoinStats stats;
+      const auto sharded = RunSTPSJoin(db, query, options, &stats);
+      ASSERT_EQ(sharded.size(), reference.size());
+      for (size_t i = 0; i < sharded.size(); ++i) {
+        EXPECT_EQ(sharded[i].a, reference[i].a);
+        EXPECT_EQ(sharded[i].b, reference[i].b);
+        EXPECT_EQ(sharded[i].score, reference[i].score);
+      }
+      EXPECT_TRUE(stats == reference_stats)
+          << JoinAlgorithmName(algorithm) << " shards=" << shards << "\n"
+          << FormatJoinStats(stats) << "\n"
+          << FormatJoinStats(reference_stats);
+    }
   }
 }
 

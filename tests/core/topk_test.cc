@@ -42,19 +42,22 @@ class TopKAlgorithmsTest : public ::testing::TestWithParam<TopKParam> {
 TEST_P(TopKAlgorithmsTest, VariantFMatchesBruteForce) {
   const ObjectDatabase db = MakeDb();
   const TopKQuery query = MakeQuery();
-  EXPECT_TRUE(SameResults(TopKSPPJF(db, query), BruteForceTopK(db, query)));
+  EXPECT_TRUE(SameResults(TopKSTPSJoin(db, query, TopKVariant::kF),
+                          BruteForceTopK(db, query)));
 }
 
 TEST_P(TopKAlgorithmsTest, VariantSMatchesBruteForce) {
   const ObjectDatabase db = MakeDb();
   const TopKQuery query = MakeQuery();
-  EXPECT_TRUE(SameResults(TopKSPPJS(db, query), BruteForceTopK(db, query)));
+  EXPECT_TRUE(SameResults(TopKSTPSJoin(db, query, TopKVariant::kS),
+                          BruteForceTopK(db, query)));
 }
 
 TEST_P(TopKAlgorithmsTest, VariantPMatchesBruteForce) {
   const ObjectDatabase db = MakeDb();
   const TopKQuery query = MakeQuery();
-  EXPECT_TRUE(SameResults(TopKSPPJP(db, query), BruteForceTopK(db, query)));
+  EXPECT_TRUE(SameResults(TopKSTPSJoin(db, query, TopKVariant::kP),
+                          BruteForceTopK(db, query)));
 }
 
 
@@ -96,8 +99,8 @@ TEST(TopKTest, KOneFindsTheGlobalBestPair) {
   const TopKQuery query{0.1, 0.3, 1};
   const auto expected = BruteForceTopK(db, query);
   ASSERT_EQ(expected.size(), 1u);
-  EXPECT_TRUE(SameResults(TopKSPPJF(db, query), expected));
-  EXPECT_TRUE(SameResults(TopKSPPJP(db, query), expected));
+  EXPECT_TRUE(SameResults(TopKSTPSJoin(db, query, TopKVariant::kF), expected));
+  EXPECT_TRUE(SameResults(TopKSTPSJoin(db, query, TopKVariant::kP), expected));
 }
 
 TEST(TopKTest, UmbrellaDispatch) {
@@ -156,7 +159,7 @@ TEST(TopKTest, TiedScoresStraddlingTheCutAreDeterministic) {
     for (const int threads : {1, 2, 4, 8}) {
       const ParallelOptions parallel{threads, 0};
       EXPECT_TRUE(SameResults(
-          TopKSTPSJoinParallel(db, query, variant, parallel), expected))
+          TopKSTPSJoin(db, query, variant, nullptr, parallel), expected))
           << "threads=" << threads;
     }
   }
@@ -174,7 +177,7 @@ TEST(TopKTest, TiedScoresStraddlingTheCutAreDeterministic) {
          {TopKVariant::kF, TopKVariant::kS, TopKVariant::kP}) {
       EXPECT_TRUE(SameResults(TopKSTPSJoin(db, q, variant), want));
       const ParallelOptions parallel{4, 0};
-      EXPECT_TRUE(SameResults(TopKSTPSJoinParallel(db, q, variant, parallel),
+      EXPECT_TRUE(SameResults(TopKSTPSJoin(db, q, variant, nullptr, parallel),
                               want));
     }
   }
@@ -218,8 +221,8 @@ TEST(TopKTest, TiesWithTheKthScoreSurviveOnGeneratedData) {
                              /*tolerance=*/0.0)) {
               mismatches.push_back(where + " sequential");
             }
-            if (!SameResults(TopKSTPSJoinParallel(db, query, variant,
-                                                  ParallelOptions{2, 0}),
+            if (!SameResults(TopKSTPSJoin(db, query, variant, nullptr,
+                                          ParallelOptions{2, 0}),
                              expected, /*tolerance=*/0.0)) {
               mismatches.push_back(where + " threads=2");
             }
@@ -235,8 +238,8 @@ TEST(TopKTest, TiesWithTheKthScoreSurviveOnGeneratedData) {
 
 TEST(TopKTest, ScoresNeverExceedThoseOfSmallerK) {
   const ObjectDatabase db = BuildRandomDatabase(RandomDbSpec{});
-  const auto top5 = TopKSPPJP(db, {0.1, 0.3, 5});
-  const auto top10 = TopKSPPJP(db, {0.1, 0.3, 10});
+  const auto top5 = TopKSTPSJoin(db, {0.1, 0.3, 5}, TopKVariant::kP);
+  const auto top10 = TopKSTPSJoin(db, {0.1, 0.3, 10}, TopKVariant::kP);
   ASSERT_LE(top5.size(), top10.size());
   for (size_t i = 0; i < top5.size(); ++i) {
     EXPECT_EQ(top5[i].a, top10[i].a);

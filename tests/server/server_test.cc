@@ -227,6 +227,24 @@ TEST_F(ServerTest, MalformedRequestsGetUsageErrors) {
   expect_err("INSERT onlyuser");            // too few fields
   expect_err("INSERT u 1.0zz 2.0 a,b");     // trailing garbage in number
   expect_err("SLEEP notanumber");
+  // eps_loc = 0 gives the grid algorithms no grid to build: refused with
+  // ERR instead of aborting the server on the grid's cell-size check.
+  expect_err("JOIN 0 0.3 0.3 ALGO sppjf");
+  expect_err("JOIN 0 0.3 0.3 ALGO sppjb");
+  expect_err("JOIN 0 0.3 0.3 ALGO sppjc");
+  expect_err("TOPK 0 0.3 5 ALGO f");
+  expect_err("TOPK 0 0.3 5 ALGO s");
+  expect_err("TOPK 0 0.3 5 ALGO p");
+  // kAuto and S-PPJ-D still serve eps_loc = 0; SKETCH falls back to the
+  // requested algorithm there, since sketch verification walks the grid.
+  for (const std::string request :
+       {"JOIN 0 0.3 0.3", "JOIN 0 0.3 0.3 ALGO sppjd SKETCH",
+        "TOPK 0 0.3 5"}) {
+    const std::vector<std::string> rows = client.Query(request);
+    ASSERT_FALSE(rows.empty()) << request;
+    EXPECT_EQ(rows.front().rfind("OK", 0), 0u) << request << " -> "
+                                               << rows.front();
+  }
   // The connection still works after every error.
   ASSERT_TRUE(client.SendLine("PING"));
   EXPECT_EQ(client.ReadLine(), "OK pong");

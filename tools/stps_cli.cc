@@ -14,9 +14,12 @@
 //       plan and an estimated-vs-actual counter table as JSON instead of
 //       the pairs. --mapped opens a .stpsdb v3 snapshot via mmap (O(1)
 //       open, pages on demand). --shards N partitions the join by user
-//       range onto N threads (bit-identical results; implies sppjf when
-//       the algorithm is auto). --prefetch advises the kernel about the
+//       range onto N threads, whatever the algorithm (bit-identical
+//       results and counters; brute force never shards, and auto is
+//       pinned to sppjf). --prefetch advises the kernel about the
 //       scan (madvise) before the join — useful with --mapped.
+//       Thresholds the algorithm cannot take (e.g. eps_loc = 0 for the
+//       grid algorithms) are rejected with exit code 2.
 //   stps_cli topk <data.tsv> <eps_loc> <eps_doc> <k> [--sketch]
 //       [--explain] [--mapped] [variant]
 //       Run top-k STPSJoin (variant: auto | f | s | p | brute; default
@@ -290,10 +293,15 @@ int CmdJoin(int argc, char** argv) {
       return Usage();
     }
   }
-  // Sharded execution runs the S-PPJ-F pipeline; pin the algorithm so
-  // kAuto cannot plan a sketch run that would bypass the shard driver.
+  // Every algorithm but brute force shards; pin auto to S-PPJ-F so the
+  // planner cannot pick a sketch or brute-force run that ignores --shards.
   if (options.shards > 1 && options.algorithm == JoinAlgorithm::kAuto) {
     options.algorithm = JoinAlgorithm::kSPPJF;
+  }
+  if (const Status valid = ValidateQuery(query, options.algorithm);
+      !valid.ok()) {
+    std::fprintf(stderr, "error: %s\n", valid.message().c_str());
+    return 2;
   }
   ObjectDatabase db;
   if (!LoadDatabase(argv[2], &db, mapped)) return 1;
@@ -352,6 +360,10 @@ int CmdTopK(int argc, char** argv) {
     } else {
       return Usage();
     }
+  }
+  if (const Status valid = ValidateQuery(query, algorithm); !valid.ok()) {
+    std::fprintf(stderr, "error: %s\n", valid.message().c_str());
+    return 2;
   }
   ObjectDatabase db;
   if (!LoadDatabase(argv[2], &db, mapped)) return 1;
