@@ -13,7 +13,7 @@
 // Correctness is asserted inline: the delta store's result must report
 // delta=true (full=false on the twin), and a structural checksum over
 // the published databases (SoA columns, token arena, insertion order,
-// dictionary, sketch MinHash rows) must match between the two paths —
+// dictionary) must match between the two paths —
 // any splice bug aborts the bench, which is what makes the
 // `delta_full_checksum_match` series a gateable 1.0.
 //
@@ -34,7 +34,6 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "core/update.h"
-#include "sketch/sketch.h"
 
 namespace stps::bench {
 namespace {
@@ -45,8 +44,8 @@ uint64_t Mix(uint64_t h, uint64_t x) {
 }
 
 // Structural checksum of a published database: covers the slot layout,
-// SoA mirrors, token arena, insertion order, dictionary order, and the
-// sketch MinHash rows — everything the splice path stitches together.
+// SoA mirrors, token arena, insertion order, and dictionary order —
+// everything the splice path stitches together.
 uint64_t DatabaseChecksum(const ObjectDatabase& db) {
   uint64_t h = 0x2545F4914F6CDD1Dull;
   h = Mix(h, db.num_objects());
@@ -64,9 +63,6 @@ uint64_t DatabaseChecksum(const ObjectDatabase& db) {
       h = Mix(h, static_cast<unsigned char>(c));
     }
     h = Mix(h, db.dictionary().Frequency(t));
-  }
-  if (db.has_sketches()) {
-    for (const uint64_t m : db.sketches().parts().minhash) h = Mix(h, m);
   }
   return h;
 }
@@ -105,7 +101,7 @@ struct SweepRow {
   size_t dirty_users = 0;
   double delta_publish_ms = 0;
   double full_publish_ms = 0;
-  uint64_t blocks_reused = 0;
+  uint64_t blocks_reused = 0;   // per delta publish, not cumulative
   uint64_t blocks_rebuilt = 0;
 };
 
@@ -161,8 +157,15 @@ int main(int argc, char** argv) {
           delta_db.snapshot()->db, row.dirty_users, round_id++, &rng);
       delta_db.InsertObjects(std::span<const RawObject>(batch));
       full_db.InsertObjects(std::span<const RawObject>(batch));
+      const UpdateStats before = delta_db.stats();
       const PublishResult delta_result = delta_db.PublishIfDirty();
       const PublishResult full_result = full_db.PublishIfDirty();
+      // Per-publish block counts (the store's counters are cumulative
+      // from the seed publish on); every round of a point dirties the
+      // same number of users, so the last round's difference stands.
+      const UpdateStats after = delta_db.stats();
+      row.blocks_reused = after.blocks_reused - before.blocks_reused;
+      row.blocks_rebuilt = after.blocks_rebuilt - before.blocks_rebuilt;
       if (!delta_result.published || !delta_result.delta) {
         std::fprintf(stderr,
                      "delta store took the wrong path at %.1f%% dirty\n",
@@ -190,8 +193,6 @@ int main(int argc, char** argv) {
     }
     row.delta_publish_ms = best_delta;
     row.full_publish_ms = best_full;
-    row.blocks_reused = delta_db.stats().blocks_reused;
-    row.blocks_rebuilt = delta_db.stats().blocks_rebuilt;
     rows.push_back(row);
     std::printf("%8.1f%% %11zu %9.3f %9.3f %7.1fx\n", row.dirty_pct,
                 row.dirty_users, row.delta_publish_ms, row.full_publish_ms,

@@ -59,6 +59,11 @@ python3 "$ROOT/scripts/compare_bench.py" \
     --require 'mapped_open_speedup>=10' \
     --require 'sharded_checksum_match>=1.0' \
     "$ROOT/BENCH_io.json" "$ROOT/BENCH_io.json"
+# The checksum match is exact at any scale, so it also gates this run's
+# fresh smoke artifact (compared with itself: only the floor applies).
+python3 "$ROOT/scripts/compare_bench.py" \
+    --require 'sharded_checksum_match>=1.0' \
+    "$SMOKE_DIR/io.json" "$SMOKE_DIR/io.json"
 
 echo "=== update fuzz + server smoke ==="
 # The differential insert/delete fuzz (snapshot vs rebuild-from-scratch
@@ -76,6 +81,9 @@ python3 "$ROOT/scripts/compare_bench.py" \
     --require 'delta_publish_speedup>=10' \
     --require 'delta_full_checksum_match>=1.0' \
     "$ROOT/BENCH_update.json" "$ROOT/BENCH_update.json"
+python3 "$ROOT/scripts/compare_bench.py" \
+    --require 'delta_full_checksum_match>=1.0' \
+    "$SMOKE_DIR/update.json" "$SMOKE_DIR/update.json"
 cmake --build "$ROOT/build" -j --target stps_cli
 python3 "$ROOT/scripts/server_smoke.py" "$ROOT/build/tools/stps_cli"
 

@@ -18,8 +18,9 @@ namespace stps {
 
 /// STPSJoin evaluation strategies (Section 4.1 + brute force). kAuto
 /// defers the choice to the cost-model planner (planner/planner.h):
-/// the plan decides the concrete algorithm, sketch candidate generation,
-/// and sequential-vs-pooled execution within the caller's thread budget.
+/// the plan decides the concrete algorithm and sequential-vs-pooled
+/// execution within the caller's thread budget (it never picks sketch
+/// candidate generation, and overrides query.sketch.enabled to off).
 /// All strategies are exact, so kAuto returns bit-identical results to
 /// every explicit choice — only the work differs.
 enum class JoinAlgorithm {
@@ -76,13 +77,13 @@ struct JoinOptions {
 /// algorithms (F, D): eps_doc > 0 and eps_u > 0. `stats` (optional)
 /// receives the per-stage filter counters of the run.
 ///
-/// When query.sketch.enabled (and eps_doc > 0, eps_u > 0), candidate
-/// pairs come from the per-user sketch layer instead of the chosen
-/// algorithm's filter stage and are settled by the exact PPJ-B kernel:
-/// same results, same order, same scores — only the work differs (see
-/// sketch/sketch.h; JoinStats::sketch_* report the candidate flow).
-/// Brute force ignores the knob; kAuto decides it per query (the planner
-/// may turn sketches on even when the query left them off).
+/// When query.sketch.enabled (and eps_loc > 0, eps_doc > 0, eps_u > 0),
+/// candidate pairs come from a per-user sketch index built for this call
+/// instead of the chosen algorithm's filter stage and are settled by the
+/// exact PPJ-B kernel: same results, same order, same scores — only the
+/// work differs (see sketch/sketch.h; JoinStats::sketch_* report the
+/// candidate flow). Brute force ignores the knob, and so does kAuto,
+/// whose plan never selects sketches.
 ///
 /// Every run — explicit algorithms included — feeds its measured
 /// JoinStats and wall-clock back into PlannerFeedback, so kAuto's cost
@@ -96,9 +97,10 @@ std::vector<ScoredUserPair> RunSTPSJoin(const ObjectDatabase& db,
 /// Precondition for the index-based variants: eps_doc > 0. The
 /// index-based variants run on query.parallel.num_threads executor
 /// workers (identical results at any thread count). When
-/// query.sketch.enabled, every index-based variant verifies the sketch
-/// layer's candidates in count-min heavy-hitters order instead —
-/// bit-identical results, work reported via JoinStats::sketch_*.
+/// query.sketch.enabled, every index-based variant verifies the
+/// candidates of a per-call sketch index in count-min heavy-hitters
+/// order instead — bit-identical results, work reported via
+/// JoinStats::sketch_*. kAuto ignores the knob, as for RunSTPSJoin.
 std::vector<ScoredUserPair> RunTopKSTPSJoin(
     const ObjectDatabase& db, const TopKQuery& query,
     TopKAlgorithm algorithm = TopKAlgorithm::kP, JoinStats* stats = nullptr);

@@ -1,5 +1,10 @@
 #include "io/binary.h"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <vector>
@@ -267,14 +272,40 @@ Result<ObjectDatabase> ReadBinaryV2(Reader& reader, bool has_stats_block) {
   return db;
 }
 
+// Runs `write` against a temporary file next to `path` and renames it
+// over `path` only after the writer succeeded (close-time checks
+// included), so a crash or an error mid-write leaves the previous file
+// at `path` intact; on failure the temporary is unlinked. A path that
+// exists but is not a regular file (a device such as /dev/full, a FIFO)
+// is written in place: there is no snapshot there to protect, and a
+// rename would replace the node itself. No fsync: the rename orders the
+// replacement against a process crash, not against power loss.
+template <typename WriteFn>
+Status WriteReplacing(const std::string& path, WriteFn write) {
+  struct stat st = {};
+  if (::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
+    return write(path);
+  }
+  static std::atomic<uint64_t> counter{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
+                          "." + std::to_string(counter.fetch_add(1));
+  Status status = write(tmp);
+  if (status.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    status = Status::IOError("cannot rename into place: " + path);
+  }
+  if (!status.ok()) std::remove(tmp.c_str());
+  return status;
+}
+
 }  // namespace
 
 Status WriteBinary(const ObjectDatabase& db, const std::string& path,
                    SnapshotFormat format) {
-  if (format == SnapshotFormat::kV3Arena) {
-    return SnapshotLoader::Write(db, path);
-  }
-  return WriteBinaryV2(db, path);
+  return WriteReplacing(path, [&](const std::string& target) {
+    return format == SnapshotFormat::kV3Arena
+               ? SnapshotLoader::Write(db, target)
+               : WriteBinaryV2(db, target);
+  });
 }
 
 Result<ObjectDatabase> ReadBinary(const std::string& path) {

@@ -11,12 +11,14 @@
 //
 //  * v3 "STPSDB03" — a relocatable, 64-byte-aligned arena that *is* the
 //    in-memory layout: the CSR token arena, SoA mirrors, per-user spans,
-//    dictionary, planner stats, and sketch layer as flat sections
-//    addressed by offsets (see io/format_v3.h for the byte layout and
-//    DESIGN.md §10 for the design). ReadBinaryMapped opens a v3 file
-//    with mmap in O(1) and pages on demand; ReadBinary reads it to heap
-//    and fully verifies every section checksum plus the structural
-//    cross-checks (planner-stats and sketch rebuild comparison).
+//    dictionary, and planner stats as flat sections addressed by
+//    offsets (see io/format_v3.h for the byte layout and DESIGN.md §10
+//    for the design). ReadBinaryMapped opens a v3 file with mmap in O(1)
+//    and pages on demand; ReadBinary reads it to heap and fully verifies
+//    every section checksum plus the structural cross-checks (recomputed
+//    signatures and planner stats). Files written before the sketch
+//    layer moved to query time also carry sketch sections; both readers
+//    accept and skip them (the verified read still checksums them).
 //
 // WriteBinary defaults to v3; pass SnapshotFormat::kV2Stream for the
 // legacy stream. ReadBinary dispatches on the magic, so existing callers
@@ -39,7 +41,11 @@ enum class SnapshotFormat {
   kV3Arena,   // mmap-able relocatable arena ("STPSDB03")
 };
 
-/// Writes `db` to `path` in the selected snapshot format.
+/// Writes `db` to `path` in the selected snapshot format. The bytes go
+/// to a temporary file next to `path` that is renamed over it only after
+/// a successful close, so a crash or error mid-write never tears the
+/// file already at `path` (no fsync: power-loss durability is not
+/// promised). A crash can leave the temporary (`path`.tmp.*) behind.
 Status WriteBinary(const ObjectDatabase& db, const std::string& path,
                    SnapshotFormat format = SnapshotFormat::kV3Arena);
 
@@ -70,8 +76,8 @@ class MappedSnapshot {
   Result<ObjectDatabase> Load() const;
 
   /// Like Load() but additionally verifies every section checksum, the
-  /// whole-file checksum, recomputed signatures, planner stats, and a
-  /// sketch-layer rebuild comparison. Reads the entire file.
+  /// whole-file checksum, recomputed signatures, and planner stats.
+  /// Reads the entire file.
   Result<ObjectDatabase> LoadVerified() const;
 
   /// Size of the mapped file in bytes. Zero for a default-constructed

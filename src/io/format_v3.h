@@ -76,6 +76,10 @@ enum SectionKind : uint32_t {
   kSecDictBlob = 13,         // char x dict_offsets.back()
   kSecDictFreq = 14,         // u64 x num_dict_tokens
   kSecPlannerStats = 15,     // 65 x u64/f64 fields (520 bytes); flags bit 0
+  // Legacy kinds 16-26: the sketch layer, present (all eleven, flags
+  // bit 1) in files written while the database carried one. Writers no
+  // longer emit them; readers check their table entries, the verified
+  // read checksums their payloads, and both skip them.
   kSecSketchMeta = 16,       // SketchMetaV3 (88 bytes); flags bit 1
   kSecSketchMinhash = 17,    // u64 x (num_users * num_hashes)
   kSecSketchOccCells = 18,   // u32, CSR data
@@ -95,7 +99,7 @@ enum SectionKind : uint32_t {
 struct HeaderV3 {
   char magic[8];        // kMagicV3
   uint64_t file_size;   // exact file size in bytes, checksum included
-  uint64_t flags;       // bit 0: planner stats, bit 1: sketch layer
+  uint64_t flags;       // bit 0: planner stats, bit 1: legacy sketches
   uint64_t num_users;
   uint64_t num_objects;
   uint64_t num_dict_tokens;
@@ -108,7 +112,7 @@ struct HeaderV3 {
 static_assert(sizeof(HeaderV3) == 112);
 
 inline constexpr uint64_t kFlagPlannerStats = 1ull << 0;
-inline constexpr uint64_t kFlagSketches = 1ull << 1;
+inline constexpr uint64_t kFlagSketches = 1ull << 1;  // legacy, read-only
 
 /// One section-table row.
 struct SectionEntry {
@@ -121,7 +125,8 @@ struct SectionEntry {
 };
 static_assert(sizeof(SectionEntry) == 40);
 
-/// Fixed-size scalar block of the sketch layer (kSecSketchMeta).
+/// Fixed-size scalar block of the legacy sketch sections
+/// (kSecSketchMeta); kept for ElementSize, never decoded.
 struct SketchMetaV3 {
   uint64_t num_hashes;
   uint64_t num_bands;

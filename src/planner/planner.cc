@@ -81,16 +81,14 @@ PhysicalPlan PlanSTPSJoin(const ObjectDatabase& db, const STPSQuery& query,
   // Feasible shapes, in deterministic preference order (ties in predicted
   // cost resolve to the earlier entry). Preconditions mirror the
   // per-algorithm contracts in core/stpsjoin.h: the grid algorithms need
-  // a positive spatial threshold, the filter-at-a-time pair (F, D) and
-  // the sketch path additionally need real textual and similarity
-  // thresholds.
+  // a positive spatial threshold, the filter-at-a-time pair (F, D)
+  // additionally needs real textual and similarity thresholds. Sketch
+  // shapes are not listed: the sketch index is built per query, and even
+  // without that build it prices above S-PPJ-F; an explicit algorithm
+  // with query.sketch.enabled still runs it.
   const bool grid_ok = query.eps_loc > 0.0;
   const bool filter_ok =
       grid_ok && query.eps_doc > 0.0 && query.eps_u > 0.0;
-  // Sketch verification re-walks the eps_loc user grid, so it shares the
-  // grid precondition on top of the textual ones.
-  const bool sketch_ok = grid_ok && db.has_sketches() &&
-                         query.eps_doc > 0.0 && query.eps_u > 0.0;
   std::vector<PlanShape> shapes;
   const int thread_options[2] = {1, budget};
   const int num_thread_options = budget > 1 ? 2 : 1;
@@ -104,12 +102,6 @@ PhysicalPlan PlanSTPSJoin(const ObjectDatabase& db, const STPSQuery& query,
       shapes.push_back(s);
       s.join = JoinAlgorithm::kSPPJD;
       shapes.push_back(s);
-    }
-    if (sketch_ok) {
-      s.join = JoinAlgorithm::kSPPJF;
-      s.sketch = true;
-      shapes.push_back(s);
-      s.sketch = false;
     }
     if (grid_ok) {
       s.join = JoinAlgorithm::kSPPJB;
@@ -154,12 +146,9 @@ PhysicalPlan PlanTopKSTPSJoin(const ObjectDatabase& db,
   const int budget = std::max(1, query.parallel.num_threads);
 
   // The index-based variants require eps_doc > 0 (core/topk.h) and build
-  // the eps_loc user grid, so both thresholds must be real; the sketch
-  // path shares those preconditions (a band collision implies a shared
-  // token only when textual overlap is required for a match at all, and
-  // its verification re-walks the same grid).
+  // the eps_loc user grid, so both thresholds must be real. Sketch shapes
+  // are not listed, as for threshold joins.
   const bool index_ok = query.eps_doc > 0.0 && query.eps_loc > 0.0;
-  const bool sketch_ok = index_ok && db.has_sketches();
   std::vector<PlanShape> shapes;
   const int thread_options[2] = {1, budget};
   const int num_thread_options = budget > 1 ? 2 : 1;
@@ -175,12 +164,6 @@ PhysicalPlan PlanTopKSTPSJoin(const ObjectDatabase& db,
       shapes.push_back(s);
       s.topk_algorithm = TopKAlgorithm::kS;
       shapes.push_back(s);
-    }
-    if (sketch_ok) {
-      s.topk_algorithm = TopKAlgorithm::kP;
-      s.sketch = true;
-      shapes.push_back(s);
-      s.sketch = false;
     }
     if (threads == 1) {
       s.topk_algorithm = TopKAlgorithm::kBruteForce;

@@ -1,11 +1,10 @@
 // Cost-model-driven physical planning for RunSTPSJoin / RunTopKSTPSJoin.
 //
 // `PlanSTPSJoin` enumerates the feasible plan shapes for a query — every
-// algorithm whose preconditions hold, sketch candidate generation on and
-// off, sequential and pooled execution within the caller's thread budget
-// — prices each one through the cost model (planner/cost_model.h) scaled
-// by the online feedback's learned coefficients (planner/feedback.h), and
-// returns the cheapest. Every shape computes the exact same result set
+// algorithm whose preconditions hold, sequential and pooled execution
+// within the caller's thread budget — prices each one through the cost
+// model (planner/cost_model.h) scaled by the online feedback's learned
+// coefficients (planner/feedback.h), and returns the cheapest. Every shape computes the exact same result set
 // (the library's algorithms are all exact), so the planner can only ever
 // be wrong about speed, never about answers; JoinAlgorithm::kAuto /
 // TopKAlgorithm::kAuto route through here.
@@ -61,9 +60,10 @@ struct PhysicalPlan {
 /// the thread *budget* — the planner picks sequential execution when the
 /// pool spin-up costs more than it saves — and `options.rtree_fanout`
 /// passes through. `options.algorithm` is ignored (the planner chooses).
-/// Sketch candidate generation is considered whenever it is sound for
-/// the query, even when query.sketch.enabled is false: enabling it never
-/// changes results, only work.
+/// Sketch shapes are never considered: their index is built per query
+/// (sketch/sketch_join.cc) and prices above S-PPJ-F even without that
+/// build. A sketch run needs an explicit algorithm plus
+/// query.sketch.enabled; under kAuto the plan's shape decides.
 PhysicalPlan PlanSTPSJoin(const ObjectDatabase& db, const STPSQuery& query,
                           const JoinOptions& options = {});
 

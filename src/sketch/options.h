@@ -11,9 +11,10 @@
 namespace stps {
 
 /// Per-query opt-in for sketch-based candidate generation. Off by
-/// default; when enabled, RunSTPSJoin / RunTopKSTPSJoin generate
-/// candidate user pairs from the per-user sketches built at database
-/// construction time and feed them into the exact verification kernels —
+/// default; when enabled with an explicit algorithm, RunSTPSJoin /
+/// RunTopKSTPSJoin build per-user sketches for the call, generate
+/// candidate user pairs from them and feed them into the exact
+/// verification kernels —
 /// results are bit-identical to the exact path, sketches only skip work
 /// (the PR 2 signature-gate contract, lifted from objects to users).
 struct SketchOptions {

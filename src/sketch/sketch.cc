@@ -110,84 +110,6 @@ std::vector<uint64_t> ComputeStableHashes(const Dictionary& dict) {
   return stable;
 }
 
-// The per-user arrays both constructors build (postings are derived from
-// them afterwards). minhash/masks/begins are pre-sized by the caller;
-// occ_cells/user_keys grow as users are appended in id order.
-struct SketchArrays {
-  std::vector<uint64_t> minhash;
-  std::vector<uint32_t> occ_begin;
-  std::vector<uint32_t> user_key_begin;
-  std::vector<uint64_t> masks;
-  std::vector<uint32_t> occ_cells;
-  std::vector<uint64_t> user_keys;
-};
-
-struct UserScratch {
-  std::vector<uint32_t> cells;
-  std::vector<uint64_t> keys;
-  TokenVector union_tokens;
-};
-
-// Computes user u's rows from the database and appends them to `out`.
-// Pure function of (u's point set, params, salts, grid frames) — the
-// delta constructor relies on that to splice unchanged users instead.
-void AppendUserRows(const ObjectDatabase& db, UserId u,
-                    std::span<const uint64_t> stable,
-                    const SketchParams& params, uint64_t band_salt,
-                    std::span<const uint64_t> row_salts, double min_x,
-                    double min_y, double width_x, double width_y,
-                    SketchArrays* out, UserScratch* scratch) {
-  const uint32_t g = 1u << params.occupancy_grid_bits;
-  const uint32_t ic = 1u << params.index_grid_bits;
-  const uint32_t fold = params.occupancy_grid_bits - 3;
-
-  std::vector<uint32_t>& cells = scratch->cells;
-  std::vector<uint64_t>& keys = scratch->keys;
-  TokenVector& union_tokens = scratch->union_tokens;
-  cells.clear();
-  keys.clear();
-  union_tokens.clear();
-  for (const STObject& o : db.UserObjects(u)) {
-    const uint32_t col = CellCoord(o.loc.x, min_x, width_x, g);
-    const uint32_t row = CellCoord(o.loc.y, min_y, width_y, g);
-    cells.push_back(row * g + col);
-    const uint64_t icell =
-        static_cast<uint64_t>(CellCoord(o.loc.y, min_y, width_y, ic)) * ic +
-        CellCoord(o.loc.x, min_x, width_x, ic);
-    for (const TokenId t : o.doc) {
-      union_tokens.push_back(t);
-      const uint64_t band =
-          SketchMix64(stable[t] ^ band_salt) % params.num_bands;
-      keys.push_back(icell * params.num_bands + band);
-    }
-  }
-  SortUniqueVec(&cells);
-  SortUniqueVec(&keys);
-  SortUniqueVec(&union_tokens);
-
-  out->occ_cells.insert(out->occ_cells.end(), cells.begin(), cells.end());
-  out->occ_begin[u + 1] = static_cast<uint32_t>(out->occ_cells.size());
-  out->user_keys.insert(out->user_keys.end(), keys.begin(), keys.end());
-  out->user_key_begin[u + 1] = static_cast<uint32_t>(out->user_keys.size());
-
-  uint64_t mask = 0;
-  for (const uint32_t cell : cells) {
-    const uint32_t mrow = (cell / g) >> fold;
-    const uint32_t mcol = (cell % g) >> fold;
-    mask |= 1ull << (mrow * 8 + mcol);
-  }
-  out->masks[u] = mask;
-
-  uint64_t* rows =
-      out->minhash.data() + static_cast<size_t>(u) * params.num_hashes;
-  for (const TokenId t : union_tokens) {
-    for (uint32_t i = 0; i < params.num_hashes; ++i) {
-      const uint64_t h = SketchMix64(stable[t] ^ row_salts[i]);
-      if (h < rows[i]) rows[i] = h;
-    }
-  }
-}
-
 // Inverts the per-user key lists into flat postings (sorted distinct keys
 // -> ascending user lists). Small key spaces (the default 16x16 grid x
 // 256 bands = 65536) take an O(keys + space) counting sort: one count
@@ -264,10 +186,9 @@ UserSketchIndex::UserSketchIndex(const ObjectDatabase& db,
 
   SketchSaltStream salts(params_.seed);
   band_salt_ = salts.Next();
-  std::vector<uint64_t> row_salts;
-  row_salts.reserve(params_.num_hashes);
+  row_salts_.reserve(params_.num_hashes);
   for (uint32_t i = 0; i < params_.num_hashes; ++i) {
-    row_salts.push_back(salts.Next());
+    row_salts_.push_back(salts.Next());
   }
 
   const Rect& bounds = db.bounds();
@@ -279,207 +200,67 @@ UserSketchIndex::UserSketchIndex(const ObjectDatabase& db,
   }
 
   const std::vector<uint64_t> stable = ComputeStableHashes(db.dictionary());
+  const uint32_t g = 1u << params_.occupancy_grid_bits;
+  const uint32_t ic = 1u << params_.index_grid_bits;
+  const uint32_t fold = params_.occupancy_grid_bits - 3;
 
-  SketchArrays arrays;
-  arrays.minhash.assign(num_users_ * params_.num_hashes,
-                        std::numeric_limits<uint64_t>::max());
-  arrays.masks.assign(num_users_, 0);
-  arrays.occ_begin.assign(num_users_ + 1, 0);
-  arrays.user_key_begin.assign(num_users_ + 1, 0);
+  minhash_.assign(num_users_ * params_.num_hashes,
+                  std::numeric_limits<uint64_t>::max());
+  masks_.assign(num_users_, 0);
+  occ_begin_.assign(num_users_ + 1, 0);
+  user_key_begin_.assign(num_users_ + 1, 0);
 
-  UserScratch scratch;
+  std::vector<uint32_t> cells;
+  std::vector<uint64_t> keys;
+  TokenVector union_tokens;
   for (UserId u = 0; u < num_users_; ++u) {
-    AppendUserRows(db, u, stable, params_, band_salt_, row_salts, min_x_,
-                   min_y_, width_x_, width_y_, &arrays, &scratch);
-  }
-
-  std::vector<uint64_t> post_keys;
-  std::vector<uint32_t> post_begin;
-  std::vector<UserId> post_users;
-  BuildPostings(arrays.user_keys, arrays.user_key_begin, num_users_,
-                KeySpace(params_), &post_keys, &post_begin, &post_users);
-
-  minhash_ = std::move(arrays.minhash);
-  occ_cells_ = std::move(arrays.occ_cells);
-  occ_begin_ = std::move(arrays.occ_begin);
-  masks_ = std::move(arrays.masks);
-  user_keys_ = std::move(arrays.user_keys);
-  user_key_begin_ = std::move(arrays.user_key_begin);
-  post_keys_ = std::move(post_keys);
-  post_begin_ = std::move(post_begin);
-  post_users_ = std::move(post_users);
-  row_salts_ = std::move(row_salts);
-}
-
-UserSketchIndex::UserSketchIndex(const ObjectDatabase& db,
-                                 const UserSketchIndex& prev,
-                                 std::span<const uint32_t> prev_user_of_new,
-                                 const SketchParams& params,
-                                 std::span<const uint64_t> stable_hashes)
-    : params_(params), num_users_(db.num_users()) {
-  CheckParams(params_);
-  STPS_CHECK(params_ == prev.params_);
-  STPS_CHECK(prev_user_of_new.size() == num_users_);
-
-  // Same salt derivation as the fresh constructor (pure function of the
-  // seed), so computed and spliced rows agree on the hash families.
-  SketchSaltStream salts(params_.seed);
-  band_salt_ = salts.Next();
-  std::vector<uint64_t> row_salts;
-  row_salts.reserve(params_.num_hashes);
-  for (uint32_t i = 0; i < params_.num_hashes; ++i) {
-    row_salts.push_back(salts.Next());
-  }
-
-  const Rect& bounds = db.bounds();
-  if (!bounds.IsEmpty()) {
-    min_x_ = bounds.min_x;
-    min_y_ = bounds.min_y;
-    width_x_ = bounds.max_x - bounds.min_x;
-    width_y_ = bounds.max_y - bounds.min_y;
-  }
-  // Splicing is only sound when both grids are framed identically — the
-  // delta publish path falls back to a full rebuild on any bounds change.
-  STPS_CHECK(min_x_ == prev.min_x_ && min_y_ == prev.min_y_ &&
-             width_x_ == prev.width_x_ && width_y_ == prev.width_y_);
-
-  std::vector<uint64_t> computed_stable;
-  if (stable_hashes.empty() && db.dictionary().size() > 0) {
-    computed_stable = ComputeStableHashes(db.dictionary());
-    stable_hashes = computed_stable;
-  }
-  STPS_CHECK(stable_hashes.size() == db.dictionary().size());
-  const std::span<const uint64_t> stable = stable_hashes;
-
-  SketchArrays arrays;
-  // Unlike the fresh constructor, minhash grows in append order (run
-  // block copies and per-dirty-user sentinel rows) instead of being
-  // pre-filled: splices overwrite ~every row, so the up-front
-  // num_users * num_hashes sentinel fill would be pure wasted bandwidth.
-  arrays.minhash.reserve(num_users_ * params_.num_hashes);
-  arrays.masks.assign(num_users_, 0);
-  arrays.occ_begin.assign(num_users_ + 1, 0);
-  arrays.user_key_begin.assign(num_users_ + 1, 0);
-  // Splices dominate (that is the point of the delta path): size the
-  // growing arrays to the previous epoch up front so the per-user
-  // insert loop never reallocates mid-splice.
-  arrays.occ_cells.reserve(prev.occ_cells_.size());
-  arrays.user_keys.reserve(prev.user_keys_.size());
-
-  // Spliced users come in long runs of consecutive prev ids (the delta
-  // publish keeps retained users in prev-id order, and dirty users are
-  // sparse), so each run's CSR payloads move as one block copy with the
-  // begins recovered by offset arithmetic — not one insert per user.
-  UserScratch scratch;
-  UserId u = 0;
-  while (u < num_users_) {
-    const uint32_t pu = prev_user_of_new[u];
-    if (pu == UINT32_MAX) {
-      // AppendUserRows min-folds into pre-set sentinel rows.
-      arrays.minhash.insert(arrays.minhash.end(), params_.num_hashes,
-                            std::numeric_limits<uint64_t>::max());
-      AppendUserRows(db, u, stable, params_, band_salt_, row_salts, min_x_,
-                     min_y_, width_x_, width_y_, &arrays, &scratch);
-      ++u;
-      continue;
+    cells.clear();
+    keys.clear();
+    union_tokens.clear();
+    for (const STObject& o : db.UserObjects(u)) {
+      const uint32_t col = CellCoord(o.loc.x, min_x_, width_x_, g);
+      const uint32_t row = CellCoord(o.loc.y, min_y_, width_y_, g);
+      cells.push_back(row * g + col);
+      const uint64_t icell =
+          static_cast<uint64_t>(CellCoord(o.loc.y, min_y_, width_y_, ic)) *
+              ic +
+          CellCoord(o.loc.x, min_x_, width_x_, ic);
+      for (const TokenId t : o.doc) {
+        union_tokens.push_back(t);
+        const uint64_t band =
+            SketchMix64(stable[t] ^ band_salt_) % params_.num_bands;
+        keys.push_back(icell * params_.num_bands + band);
+      }
     }
-    STPS_CHECK(pu < prev.num_users_);
-    UserId run_end = u + 1;
-    while (run_end < num_users_ &&
-           prev_user_of_new[run_end] == pu + (run_end - u)) {
-      ++run_end;
-    }
-    const uint32_t pu_end = pu + (run_end - u);
-    STPS_CHECK(pu_end <= prev.num_users_);
+    SortUniqueVec(&cells);
+    SortUniqueVec(&keys);
+    SortUniqueVec(&union_tokens);
 
-    const uint32_t cell_lo = prev.occ_begin_[pu];
-    const uint32_t cell_hi = prev.occ_begin_[pu_end];
-    const uint32_t cell_base = static_cast<uint32_t>(arrays.occ_cells.size());
-    arrays.occ_cells.insert(arrays.occ_cells.end(),
-                            prev.occ_cells_.begin() + cell_lo,
-                            prev.occ_cells_.begin() + cell_hi);
-    const uint32_t key_lo = prev.user_key_begin_[pu];
-    const uint32_t key_hi = prev.user_key_begin_[pu_end];
-    const uint32_t key_base = static_cast<uint32_t>(arrays.user_keys.size());
-    arrays.user_keys.insert(arrays.user_keys.end(),
-                            prev.user_keys_.begin() + key_lo,
-                            prev.user_keys_.begin() + key_hi);
-    for (UserId w = u; w < run_end; ++w) {
-      const uint32_t pw = pu + (w - u);
-      arrays.occ_begin[w + 1] =
-          cell_base + (prev.occ_begin_[pw + 1] - cell_lo);
-      arrays.user_key_begin[w + 1] =
-          key_base + (prev.user_key_begin_[pw + 1] - key_lo);
+    occ_cells_.insert(occ_cells_.end(), cells.begin(), cells.end());
+    occ_begin_[u + 1] = static_cast<uint32_t>(occ_cells_.size());
+    user_keys_.insert(user_keys_.end(), keys.begin(), keys.end());
+    user_key_begin_[u + 1] = static_cast<uint32_t>(user_keys_.size());
+
+    uint64_t mask = 0;
+    for (const uint32_t cell : cells) {
+      const uint32_t mrow = (cell / g) >> fold;
+      const uint32_t mcol = (cell % g) >> fold;
+      mask |= 1ull << (mrow * 8 + mcol);
     }
-    arrays.minhash.insert(arrays.minhash.end(),
-                          prev.minhash_.begin() +
-                              static_cast<size_t>(pu) * params_.num_hashes,
-                          prev.minhash_.begin() +
-                              static_cast<size_t>(pu_end) * params_.num_hashes);
-    std::copy(prev.masks_.begin() + pu, prev.masks_.begin() + pu_end,
-              arrays.masks.begin() + u);
-    u = run_end;
+    masks_[u] = mask;
+
+    uint64_t* rows =
+        minhash_.data() + static_cast<size_t>(u) * params_.num_hashes;
+    for (const TokenId t : union_tokens) {
+      for (uint32_t i = 0; i < params_.num_hashes; ++i) {
+        const uint64_t h = SketchMix64(stable[t] ^ row_salts_[i]);
+        if (h < rows[i]) rows[i] = h;
+      }
+    }
   }
-  STPS_CHECK(arrays.minhash.size() ==
-             static_cast<size_t>(num_users_) * params_.num_hashes);
 
-  std::vector<uint64_t> post_keys;
-  std::vector<uint32_t> post_begin;
-  std::vector<UserId> post_users;
-  BuildPostings(arrays.user_keys, arrays.user_key_begin, num_users_,
-                KeySpace(params_), &post_keys, &post_begin, &post_users);
-
-  minhash_ = std::move(arrays.minhash);
-  occ_cells_ = std::move(arrays.occ_cells);
-  occ_begin_ = std::move(arrays.occ_begin);
-  masks_ = std::move(arrays.masks);
-  user_keys_ = std::move(arrays.user_keys);
-  user_key_begin_ = std::move(arrays.user_key_begin);
-  post_keys_ = std::move(post_keys);
-  post_begin_ = std::move(post_begin);
-  post_users_ = std::move(post_users);
-  row_salts_ = std::move(row_salts);
-}
-
-UserSketchIndex::UserSketchIndex(const SketchParts& parts)
-    : params_(parts.params),
-      num_users_(parts.num_users),
-      min_x_(parts.min_x),
-      min_y_(parts.min_y),
-      width_x_(parts.width_x),
-      width_y_(parts.width_y),
-      minhash_(Column<uint64_t>::Borrow(parts.minhash)),
-      occ_cells_(Column<uint32_t>::Borrow(parts.occ_cells)),
-      occ_begin_(Column<uint32_t>::Borrow(parts.occ_begin)),
-      masks_(Column<uint64_t>::Borrow(parts.masks)),
-      user_keys_(Column<uint64_t>::Borrow(parts.user_keys)),
-      user_key_begin_(Column<uint32_t>::Borrow(parts.user_key_begin)),
-      post_keys_(Column<uint64_t>::Borrow(parts.post_keys)),
-      post_begin_(Column<uint32_t>::Borrow(parts.post_begin)),
-      post_users_(Column<UserId>::Borrow(parts.post_users)),
-      band_salt_(parts.band_salt),
-      row_salts_(Column<uint64_t>::Borrow(parts.row_salts)) {}
-
-SketchParts UserSketchIndex::parts() const {
-  SketchParts p;
-  p.params = params_;
-  p.num_users = num_users_;
-  p.band_salt = band_salt_;
-  p.min_x = min_x_;
-  p.min_y = min_y_;
-  p.width_x = width_x_;
-  p.width_y = width_y_;
-  p.minhash = minhash_;
-  p.occ_cells = occ_cells_;
-  p.occ_begin = occ_begin_;
-  p.masks = masks_;
-  p.user_keys = user_keys_;
-  p.user_key_begin = user_key_begin_;
-  p.post_keys = post_keys_;
-  p.post_begin = post_begin_;
-  p.post_users = post_users_;
-  p.row_salts = row_salts_;
-  return p;
+  BuildPostings(user_keys_, user_key_begin_, num_users_, KeySpace(params_),
+                &post_keys_, &post_begin_, &post_users_);
 }
 
 std::span<const UserId> UserSketchIndex::Postings(uint64_t key) const {

@@ -17,9 +17,12 @@
 // sketches, whose dilation radii round outward, so every rejection is a
 // proof of spatial separation.
 //
-// Built once per database (DatabaseBuilder::Build), independent of any
-// query threshold: the index grid is fixed-resolution, and eps_loc enters
-// only through the probe radius at generation time.
+// Built per query by the sketch join drivers (sketch/sketch_join.cc),
+// like S-PPJ-F's eps_loc grid: the database, its publishes and its
+// snapshots carry no sketch state, so only a query that asks for
+// sketches pays for them. The index itself is threshold-free (the grid
+// is fixed-resolution, and eps_loc enters only through the probe radius
+// at generation time).
 
 #ifndef STPS_SKETCH_SKETCH_H_
 #define STPS_SKETCH_SKETCH_H_
@@ -31,7 +34,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/column.h"
 #include "sketch/count_min.h"
 #include "sketch/options.h"
 #include "stjoin/object.h"
@@ -44,10 +46,9 @@ class ObjectDatabase;
 /// finished by the sketch layer's shared mixer. Every hash family in the
 /// sketch layer (MinHash rows, LSH bands) keys off this value rather than
 /// the token id, because ids are reassigned by document frequency on
-/// every publish — hashing the string makes a user's sketch rows a pure
-/// function of its token *set*, which is what lets the delta publish path
-/// (core/update.cc) splice unchanged users' rows across epochs while the
-/// fresh build computes bit-identical values.
+/// every publish — hashing the string makes a user's sketch rows, and so
+/// the sketch drivers' candidate counters, a pure function of its token
+/// *set*.
 inline uint64_t StableTokenHash(std::string_view token) {
   uint64_t h = 0xCBF29CE484222325ull;  // FNV offset basis
   for (const char c : token) {
@@ -77,12 +78,6 @@ struct SketchParams {
   uint32_t occupancy_grid_bits = 6;
   /// Master seed for every hash family in the layer.
   uint64_t seed = 0x53545053u;  // "STPS"
-
-  friend bool operator==(const SketchParams& a, const SketchParams& b) {
-    return a.num_hashes == b.num_hashes && a.num_bands == b.num_bands &&
-           a.index_grid_bits == b.index_grid_bits &&
-           a.occupancy_grid_bits == b.occupancy_grid_bits && a.seed == b.seed;
-  }
 };
 
 /// Output of one candidate-generation pass.
@@ -100,66 +95,11 @@ struct SketchCandidates {
   uint64_t rejections = 0;
 };
 
-/// Flat-view decomposition of a UserSketchIndex: every scalar plus spans
-/// over the ten POD arrays. The snapshot writer serializes from it and
-/// the mmap loader reconstructs an index that borrows the arena through
-/// it (io/snapshot_v3.cc); verify-mode loads compare a rebuilt index
-/// against it element-wise.
-struct SketchParts {
-  SketchParams params;
-  uint64_t num_users = 0;
-  uint64_t band_salt = 0;
-  double min_x = 0.0, min_y = 0.0, width_x = 0.0, width_y = 0.0;
-  std::span<const uint64_t> minhash;
-  std::span<const uint32_t> occ_cells;
-  std::span<const uint32_t> occ_begin;
-  std::span<const uint64_t> masks;
-  std::span<const uint64_t> user_keys;
-  std::span<const uint32_t> user_key_begin;
-  std::span<const uint64_t> post_keys;
-  std::span<const uint32_t> post_begin;
-  std::span<const UserId> post_users;
-  std::span<const uint64_t> row_salts;
-};
-
-/// Immutable per-user sketches + band index for one database. Moved-into
-/// the ObjectDatabase as a shared_ptr at Build time.
+/// Immutable per-user sketches + band index over one database, built by
+/// each sketch join call (the database does not keep one).
 class UserSketchIndex {
  public:
   UserSketchIndex(const ObjectDatabase& db, const SketchParams& params);
-
-  /// Delta (splice) mode, for the incremental publish path: users whose
-  /// point sets did not change between epochs copy their rows (MinHash,
-  /// occupancy cells, mask, band keys) straight out of `prev`; the rest
-  /// are computed from `db` exactly like the fresh constructor. This is
-  /// bit-identical to `UserSketchIndex(db, params)` because every
-  /// per-user row is a pure function of the user's point set: hashes key
-  /// off StableTokenHash (epoch-stable), and both grids are framed by
-  /// db.bounds(), which the caller guarantees equals the bounds `prev`
-  /// was built against. Preconditions (checked): params == prev.params(),
-  /// prev_user_of_new.size() == db.num_users(), and each mapped id is a
-  /// user of `prev` with the same point set as its new counterpart.
-  /// `prev_user_of_new[u]` is the user's id in the previous epoch, or
-  /// UINT32_MAX to rebuild u from `db`. `stable_hashes`, when non-empty,
-  /// must hold StableTokenHash(dict.TokenString(t)) per token id — the
-  /// publish path maintains these per interned token, sparing the splice
-  /// an O(dictionary) re-hash; empty recomputes them here.
-  UserSketchIndex(const ObjectDatabase& db, const UserSketchIndex& prev,
-                  std::span<const uint32_t> prev_user_of_new,
-                  const SketchParams& params,
-                  std::span<const uint64_t> stable_hashes = {});
-
-  /// Borrowed (arena-view) mode: adopts the spans of `parts` without
-  /// copying. The caller keeps the backing storage alive and has
-  /// validated the CSR invariants (io/snapshot_v3.cc).
-  explicit UserSketchIndex(const SketchParts& parts);
-
-  /// The flat-view decomposition of this index (spans point into the
-  /// index's storage).
-  SketchParts parts() const;
-
-  const SketchParams& params() const { return params_; }
-  size_t num_users() const { return num_users_; }
 
   /// The MinHash signature of user u's union token set (num_hashes rows;
   /// rows are UINT64_MAX when the union is empty).
@@ -208,24 +148,22 @@ class UserSketchIndex {
   // Grid frames (index grid and occupancy grid share the db bounds).
   double min_x_ = 0.0, min_y_ = 0.0, width_x_ = 0.0, width_y_ = 0.0;
 
-  // Owned when built from a database, borrowed when loaded from an
-  // mmap'd snapshot (the ObjectDatabase's arena_ pins the storage).
-  Column<uint64_t> minhash_;      // num_users * num_hashes
-  Column<uint32_t> occ_cells_;    // CSR: sorted distinct fine cells
-  Column<uint32_t> occ_begin_;    // size num_users + 1
-  Column<uint64_t> masks_;        // 8x8 folds of occ_cells_
-  Column<uint64_t> user_keys_;    // CSR: sorted distinct (cell, band)
-  Column<uint32_t> user_key_begin_;
+  std::vector<uint64_t> minhash_;    // num_users * num_hashes
+  std::vector<uint32_t> occ_cells_;  // CSR: sorted distinct fine cells
+  std::vector<uint32_t> occ_begin_;  // size num_users + 1
+  std::vector<uint64_t> masks_;      // 8x8 folds of occ_cells_
+  std::vector<uint64_t> user_keys_;  // CSR: sorted distinct (cell, band)
+  std::vector<uint32_t> user_key_begin_;
   // Flat postings: sorted distinct keys -> ascending user lists.
-  Column<uint64_t> post_keys_;
-  Column<uint32_t> post_begin_;   // size post_keys_ + 1
-  Column<UserId> post_users_;
+  std::vector<uint64_t> post_keys_;
+  std::vector<uint32_t> post_begin_;  // size post_keys_ + 1
+  std::vector<UserId> post_users_;
   uint64_t band_salt_ = 0;
-  Column<uint64_t> row_salts_;    // minhash row seeds
+  std::vector<uint64_t> row_salts_;  // minhash row seeds
 };
 
-/// Builds the sketch layer for a finished database. Called by
-/// DatabaseBuilder::Build; exposed for tests that want custom params.
+/// Builds the sketch layer for a finished database (tests and benches;
+/// the join drivers construct a UserSketchIndex on the stack).
 std::shared_ptr<const UserSketchIndex> BuildUserSketches(
     const ObjectDatabase& db, const SketchParams& params = {});
 

@@ -21,7 +21,8 @@ std::vector<ScoredUserPair> SketchSTPSJoin(const ObjectDatabase& db,
   if (db.num_objects() == 0) return {};
 
   const SketchCandidates cand =
-      db.sketches().GenerateCandidates(query.eps_loc, query.sketch);
+      UserSketchIndex(db, SketchParams{})
+          .GenerateCandidates(query.eps_loc, query.sketch);
   if (stats != nullptr) {
     stats->sketch_candidate_pairs += cand.pairs.size();
     stats->sketch_rejections += cand.rejections;
@@ -97,7 +98,8 @@ std::vector<ScoredUserPair> SketchTopKSTPSJoin(
   if (db.num_objects() == 0) return {};
 
   const SketchCandidates cand =
-      db.sketches().GenerateCandidates(query.eps_loc, query.sketch);
+      UserSketchIndex(db, SketchParams{})
+          .GenerateCandidates(query.eps_loc, query.sketch);
   if (stats != nullptr) {
     stats->sketch_candidate_pairs += cand.pairs.size();
     stats->sketch_rejections += cand.rejections;

@@ -1,6 +1,7 @@
-// Join drivers over sketch-generated candidates: the pairs come from
-// UserSketchIndex::GenerateCandidates (a provable superset of every
-// result pair — see sketch/sketch.h), and every candidate is settled by
+// Join drivers over sketch-generated candidates: each call builds a
+// UserSketchIndex over `db` with the default SketchParams, the pairs come
+// from its GenerateCandidates (a provable superset of every result pair
+// — see sketch/sketch.h), and every candidate is settled by
 // the exact PPJ-B kernel, so results are bit-identical to brute force at
 // any thread count. Both drivers run on the join executor
 // (core/join_executor.h). RunSTPSJoin / RunTopKSTPSJoin dispatch here when

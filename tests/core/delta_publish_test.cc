@@ -1,14 +1,14 @@
 // Delta publish correctness: the O(delta) splice path of
 // UpdatableDatabase::Publish must produce a database *structurally
 // bit-identical* to a fresh DatabaseBuilder::Build over the survivors —
-// every column, the dictionary, the sketch arrays, and the planner
-// stats — not merely one that answers queries the same way. The tests
-// here force the delta and full paths alternately (the update_test
-// differential only hits whichever path the thresholds pick), verify
-// the fallback triggers (bounds growth, boundary deletes, dirty
-// fraction, disabled delta), check the PublishResult/UpdateStats
-// publish counters, and run concurrent readers against delta publishes
-// (the TSan target; see scripts/run_tsan_tests.sh).
+// every column, the dictionary, and the planner stats — not merely one
+// that answers queries the same way. The tests here force the delta and
+// full paths alternately (the update_test differential only hits
+// whichever path the thresholds pick), verify the fallback triggers
+// (bounds growth, boundary deletes, dirty fraction, disabled delta),
+// check the PublishResult/UpdateStats publish counters, and run
+// concurrent readers against delta publishes (the TSan target; see
+// scripts/run_tsan_tests.sh).
 
 #include <algorithm>
 #include <atomic>
@@ -25,7 +25,6 @@
 #include "core/stpsjoin.h"
 #include "core/update.h"
 #include "planner/planner_stats.h"
-#include "sketch/sketch.h"
 #include "test_util.h"
 
 namespace stps {
@@ -130,29 +129,6 @@ void ExpectSameDatabase(const ObjectDatabase& lhs, const ObjectDatabase& rhs) {
   ASSERT_TRUE(lhs.has_planner_stats());
   ASSERT_TRUE(rhs.has_planner_stats());
   EXPECT_TRUE(lhs.planner_stats() == rhs.planner_stats());
-
-  ASSERT_TRUE(lhs.has_sketches());
-  ASSERT_TRUE(rhs.has_sketches());
-  const SketchParts a = lhs.sketches().parts();
-  const SketchParts b = rhs.sketches().parts();
-  EXPECT_TRUE(a.params == b.params);
-  EXPECT_EQ(a.num_users, b.num_users);
-  EXPECT_EQ(a.band_salt, b.band_salt);
-  EXPECT_EQ(a.min_x, b.min_x);
-  EXPECT_EQ(a.min_y, b.min_y);
-  EXPECT_EQ(a.width_x, b.width_x);
-  EXPECT_EQ(a.width_y, b.width_y);
-  ExpectSpansEqual(a.minhash, b.minhash, "sketch minhash");
-  ExpectSpansEqual(a.occ_cells, b.occ_cells, "sketch occ_cells");
-  ExpectSpansEqual(a.occ_begin, b.occ_begin, "sketch occ_begin");
-  ExpectSpansEqual(a.masks, b.masks, "sketch masks");
-  ExpectSpansEqual(a.user_keys, b.user_keys, "sketch user_keys");
-  ExpectSpansEqual(a.user_key_begin, b.user_key_begin,
-                   "sketch user_key_begin");
-  ExpectSpansEqual(a.post_keys, b.post_keys, "sketch post_keys");
-  ExpectSpansEqual(a.post_begin, b.post_begin, "sketch post_begin");
-  ExpectSpansEqual(a.post_users, b.post_users, "sketch post_users");
-  ExpectSpansEqual(a.row_salts, b.row_salts, "sketch row_salts");
 }
 
 // Join-level agreement at the requested thread counts and sketch modes.

@@ -1,13 +1,22 @@
 #include "io/binary.h"
 
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/stpsjoin.h"
 #include "datagen/generator.h"
 #include "datagen/presets.h"
 #include "io/format_v3.h"
@@ -19,6 +28,7 @@ namespace {
 
 using testing_util::BuildRandomDatabase;
 using testing_util::RandomDbSpec;
+using testing_util::SameResults;
 
 std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
@@ -275,6 +285,242 @@ TEST(BinaryIoTest, WriteToUnwritablePathFails) {
     const Status full = WriteBinary(db, "/dev/full");
     EXPECT_FALSE(full.ok());
   }
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+HeaderV3 ParseHeader(const std::string& bytes) {
+  HeaderV3 h = {};
+  std::memcpy(&h, bytes.data(), sizeof(h));
+  return h;
+}
+
+SectionEntry FindSection(const std::string& bytes, uint32_t kind) {
+  const HeaderV3 h = ParseHeader(bytes);
+  for (uint64_t i = 0; i < h.section_count; ++i) {
+    SectionEntry e = {};
+    std::memcpy(&e, bytes.data() + h.table_offset + i * sizeof(e),
+                sizeof(e));
+    if (e.kind == kind) return e;
+  }
+  return SectionEntry{};
+}
+
+// Replays `db`'s objects through DatabaseBuilder in their original
+// AddObject order: the fresh build a loaded snapshot must equal.
+ObjectDatabase RebuildFromObjects(const ObjectDatabase& db) {
+  std::vector<ObjectId> by_seq(db.num_objects());
+  for (ObjectId slot = 0; slot < db.num_objects(); ++slot) {
+    by_seq[db.insertion_order()[slot]] = slot;
+  }
+  DatabaseBuilder builder;
+  std::vector<std::string_view> keywords;
+  for (const ObjectId slot : by_seq) {
+    const STObject& o = db.object(slot);
+    keywords.clear();
+    for (const TokenId t : o.doc) {
+      keywords.push_back(db.dictionary().TokenString(t));
+    }
+    builder.AddObject(db.UserName(o.user), o.loc,
+                      std::span<const std::string_view>(keywords), o.time);
+  }
+  return std::move(builder).Build();
+}
+
+// Column-level equality with a fresh build: same slots, token ids,
+// signatures, insertion order, dictionary, and planner stats.
+void ExpectEqualsFreshBuild(const ObjectDatabase& db) {
+  const ObjectDatabase fresh = RebuildFromObjects(db);
+  ExpectSameDatabases(fresh, db);
+  ASSERT_EQ(fresh.num_objects(), db.num_objects());
+  for (ObjectId id = 0; id < db.num_objects(); ++id) {
+    const std::span<const TokenId> a = fresh.ObjectTokens(id);
+    const std::span<const TokenId> b = db.ObjectTokens(id);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+    EXPECT_EQ(fresh.sigs()[id], db.sigs()[id]);
+    EXPECT_EQ(fresh.insertion_order()[id], db.insertion_order()[id]);
+  }
+  ASSERT_EQ(fresh.dictionary().size(), db.dictionary().size());
+  for (TokenId t = 0; t < db.dictionary().size(); ++t) {
+    EXPECT_EQ(fresh.dictionary().TokenString(t),
+              db.dictionary().TokenString(t));
+    EXPECT_EQ(fresh.dictionary().Frequency(t), db.dictionary().Frequency(t));
+  }
+  ASSERT_TRUE(db.has_planner_stats());
+  EXPECT_TRUE(fresh.planner_stats() == db.planner_stats());
+}
+
+// A v3 snapshot written while databases carried the sketch layer (20
+// users, flags bit 1 set, all eleven sketch sections present).
+const std::string kLegacySketchFixture =
+    std::string(STPS_TEST_DATA_DIR) + "/legacy_v3_sketch.stpsdb";
+
+TEST(BinaryIoTest, LegacySketchFixtureHasSketchSections) {
+  const std::string bytes = ReadFileBytes(kLegacySketchFixture);
+  ASSERT_GE(bytes.size(), sizeof(HeaderV3));
+  const HeaderV3 h = ParseHeader(bytes);
+  EXPECT_NE(h.flags & kFlagSketches, 0u);
+  EXPECT_EQ(h.section_count, 26u);
+  EXPECT_EQ(FindSection(bytes, kSecSketchMinhash).kind, kSecSketchMinhash);
+}
+
+TEST(BinaryIoTest, LegacySketchFixtureOpensInBothReaders) {
+  Result<MappedSnapshot> snapshot = MappedSnapshot::Open(kLegacySketchFixture);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  Result<ObjectDatabase> mapped = snapshot.value().Load();
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(mapped.value().num_users(), 20u);
+  ExpectEqualsFreshBuild(mapped.value());
+
+  Result<ObjectDatabase> verified = ReadBinary(kLegacySketchFixture);
+  ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+  ExpectEqualsFreshBuild(verified.value());
+}
+
+TEST(BinaryIoTest, LegacySketchFixtureSketchJoinMatchesPlainJoin) {
+  Result<ObjectDatabase> loaded = ReadBinary(kLegacySketchFixture);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const ObjectDatabase& db = loaded.value();
+  STPSQuery query{0.1, 0.3, 0.2};
+  JoinOptions options;
+  options.algorithm = JoinAlgorithm::kSPPJF;
+  const std::vector<ScoredUserPair> plain = RunSTPSJoin(db, query, options);
+  query.sketch.enabled = true;
+  JoinStats stats;
+  const std::vector<ScoredUserPair> sketched =
+      RunSTPSJoin(db, query, options, &stats);
+  EXPECT_FALSE(plain.empty());
+  EXPECT_GT(stats.sketch_candidate_pairs, 0u);
+  EXPECT_TRUE(SameResults(plain, sketched, 0.0));
+  EXPECT_TRUE(SameResults(plain, BruteForceSTPSJoin(db, STPSQuery{0.1, 0.3,
+                                                                  0.2}),
+                          0.0));
+
+  TopKQuery topk{0.1, 0.3, 5};
+  const std::vector<ScoredUserPair> plain_topk =
+      RunTopKSTPSJoin(db, topk, TopKAlgorithm::kP);
+  topk.sketch.enabled = true;
+  EXPECT_TRUE(SameResults(plain_topk,
+                          RunTopKSTPSJoin(db, topk, TopKAlgorithm::kP), 0.0));
+}
+
+TEST(BinaryIoTest, LegacySketchFixtureSketchByteFlipIsCorruption) {
+  const std::string bytes = ReadFileBytes(kLegacySketchFixture);
+  for (const uint32_t kind : {kSecSketchMeta, kSecSketchMinhash,
+                              kSecSketchPostUsers, kSecSketchRowSalts}) {
+    const SectionEntry e = FindSection(bytes, kind);
+    ASSERT_EQ(e.kind, kind);
+    ASSERT_GT(e.size, 0u);
+    std::string flipped = bytes;
+    const size_t position = static_cast<size_t>(e.offset + e.size / 2);
+    flipped[position] = static_cast<char>(flipped[position] ^ 0x20);
+    const std::string path = TempPath("legacy_flip.stpsdb");
+    WriteFileBytes(path, flipped);
+    const Result<ObjectDatabase> r = ReadBinary(path);
+    EXPECT_FALSE(r.ok()) << "section kind " << kind;
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+    std::remove(path.c_str());
+  }
+}
+
+TEST(BinaryIoTest, NewV3FilesCarryNoSketchSections) {
+  const ObjectDatabase db = BuildRandomDatabase(RandomDbSpec{});
+  const std::string path = TempPath("no_sketch.stpsdb");
+  ASSERT_TRUE(WriteBinary(db, path).ok());
+  const std::string bytes = ReadFileBytes(path);
+  const HeaderV3 h = ParseHeader(bytes);
+  EXPECT_EQ(h.flags & kFlagSketches, 0u);
+  EXPECT_EQ(h.section_count, 15u);  // 14 core + planner stats
+  for (uint32_t kind = kSecSketchMeta; kind <= kSecSketchRowSalts; ++kind) {
+    EXPECT_EQ(FindSection(bytes, kind).kind, 0u) << "kind " << kind;
+  }
+  std::remove(path.c_str());
+}
+
+// A checkpoint killed mid-write must leave the previous snapshot intact:
+// WriteBinary writes a temporary next to the target and renames it into
+// place only after a successful close. A child process rewrites a large
+// database to the same path in a tight loop and is SIGKILLed at several
+// points; after every kill the file at `path` must still verify.
+TEST(BinaryIoTest, KilledRewriteLeavesLastSnapshotReadable) {
+  const ObjectDatabase db =
+      GenerateDataset(PresetSpec(DatasetKind::kGeoTextLike, 1500, 11));
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "crash_safe_checkpoint";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "snap.stpsdb").string();
+  for (const SnapshotFormat format :
+       {SnapshotFormat::kV3Arena, SnapshotFormat::kV2Stream}) {
+    ASSERT_TRUE(WriteBinary(db, path, format).ok());
+    for (const int delay_ms : {3, 11, 23, 37, 52, 71}) {
+      const pid_t child = ::fork();
+      ASSERT_GE(child, 0);
+      if (child == 0) {
+        for (;;) {
+          if (!WriteBinary(db, path, format).ok()) ::_exit(1);
+        }
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+      ASSERT_EQ(::kill(child, SIGKILL), 0);
+      int status = 0;
+      ASSERT_EQ(::waitpid(child, &status, 0), child);
+      ASSERT_TRUE(WIFSIGNALED(status)) << "writer failed before the kill";
+      const Result<ObjectDatabase> r = ReadBinary(path);
+      ASSERT_TRUE(r.ok()) << "delay " << delay_ms << " ms: "
+                          << r.status().ToString();
+      EXPECT_EQ(r.value().num_objects(), db.num_objects());
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BinaryIoTest, FailedWriteKeepsPreviousFileAndLeavesNoTemporary) {
+  const ObjectDatabase db = BuildRandomDatabase(RandomDbSpec{});
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "failed_write";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "snap.stpsdb").string();
+  for (const SnapshotFormat format :
+       {SnapshotFormat::kV3Arena, SnapshotFormat::kV2Stream}) {
+    ASSERT_TRUE(WriteBinary(db, path, format).ok());
+    const std::string before = ReadFileBytes(path);
+    // The child caps its own file size below the snapshot's, so every
+    // rewrite fails part-way (EFBIG) — a disk-full stand-in that holds
+    // for root too.
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      ::signal(SIGXFSZ, SIG_IGN);
+      const rlimit limit = {before.size() / 2, before.size() / 2};
+      if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(2);
+      if (WriteBinary(db, path, format).ok()) ::_exit(3);
+      if (ReadFileBytes(path) != before) ::_exit(4);
+      size_t entries = 0;
+      for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        (void)entry;
+        ++entries;
+      }
+      ::_exit(entries == 1 ? 0 : 5);  // only snap.stpsdb, no temporary
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "2: setrlimit, 3: write succeeded, 4: file changed, "
+           "5: temporary left behind";
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

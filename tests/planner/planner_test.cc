@@ -399,7 +399,9 @@ TEST(PlannerPreconditionTest, InfeasibleShapesNeverEnumerated) {
     EXPECT_TRUE(SameResults(RunSTPSJoin(db, query, options),
                             BruteForceSTPSJoin(db, query)));
   }
-  // Thread budget is a ceiling: no enumerated shape exceeds it.
+  // Thread budget is a ceiling: no enumerated shape exceeds it. Sketch
+  // shapes are never enumerated, even where sketches are sound (their
+  // index is built per query): only an explicit algorithm runs them.
   {
     STPSQuery query{0.1, 0.4, 0.3};
     query.parallel.num_threads = 3;
@@ -407,6 +409,12 @@ TEST(PlannerPreconditionTest, InfeasibleShapesNeverEnumerated) {
     for (const PlanCandidate& c : plan.considered) {
       EXPECT_GE(c.shape.threads, 1);
       EXPECT_LE(c.shape.threads, 3);
+      EXPECT_FALSE(c.shape.sketch);
+    }
+    TopKQuery topk{0.1, 0.4, 5};
+    topk.parallel.num_threads = 3;
+    for (const PlanCandidate& c : PlanTopKSTPSJoin(db, topk).considered) {
+      EXPECT_FALSE(c.shape.sketch);
     }
   }
   // Empty database: the fallback plan is brute force and still runs.

@@ -126,7 +126,7 @@ class SketchSoundnessTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SketchSoundnessTest, BandIndexNeverDropsAnExactPair) {
   const ObjectDatabase db = BuildFuzzDatabase(GetParam());
-  CheckSoundness(db, db.sketches(), GetParam());
+  CheckSoundness(db, *BuildUserSketches(db), GetParam());
 }
 
 TEST_P(SketchSoundnessTest, SoundUnderCollisionHeavyParams) {
@@ -147,12 +147,12 @@ TEST_P(SketchSoundnessTest, HotspotDatabasesStaySound) {
   spec.seed = GetParam();
   spec.num_users = 25;
   const ObjectDatabase db = BuildRandomDatabase(spec);
-  CheckSoundness(db, db.sketches(), GetParam());
+  CheckSoundness(db, *BuildUserSketches(db), GetParam());
 }
 
 TEST_P(SketchSoundnessTest, OccupancyRejectionIsASeparationProof) {
   const ObjectDatabase db = BuildFuzzDatabase(GetParam() + 31);
-  const UserSketchIndex& index = db.sketches();
+  const UserSketchIndex index(db, SketchParams{});
   for (const double eps_loc : {0.02, 0.1, 0.5}) {
     for (UserId u = 0; u < db.num_users(); ++u) {
       for (UserId v = u + 1; v < db.num_users(); ++v) {
@@ -197,7 +197,7 @@ TEST(SketchMinHashTest, EstimatesWithinChernoffBounds) {
                       std::span<const std::string>(kws));
   }
   const ObjectDatabase db = std::move(builder).Build();
-  const UserSketchIndex& index = db.sketches();
+  const UserSketchIndex index(db, SketchParams{});
 
   std::vector<std::set<TokenId>> unions(db.num_users());
   for (const STObject& o : db.AllObjects()) {
@@ -234,7 +234,7 @@ TEST(SketchMinHashTest, EmptyUnionEstimatesZero) {
   builder.AddObject("empty2", {1, 1}, std::span<const std::string>());
   builder.AddObject("full", {2, 2}, std::span<const std::string>(doc));
   const ObjectDatabase db = std::move(builder).Build();
-  const UserSketchIndex& index = db.sketches();
+  const UserSketchIndex index(db, SketchParams{});
   // Two empty unions: Jaccard 0 by convention, not the 1.0 their
   // identical all-sentinel signatures would suggest.
   EXPECT_EQ(index.EstimateUnionJaccard(0, 1), 0.0);
@@ -280,7 +280,7 @@ TEST(SketchCandidateTest, HeavyCapacityBoundsThePriorityHead) {
   SketchOptions few;
   few.heavy_capacity = 3;
   const SketchCandidates cand =
-      db.sketches().GenerateCandidates(0.1, few);
+      BuildUserSketches(db)->GenerateCandidates(0.1, few);
   if (cand.pairs.size() <= few.heavy_capacity) return;
   // Beyond the heavy head the order must be the natural (a, b) order.
   for (size_t i = few.heavy_capacity + 1; i < cand.priority.size(); ++i) {

@@ -10,9 +10,10 @@
 //       Run STPSJoin (algorithm: auto | sppjc | sppjb | sppjf | sppjd |
 //       brute; default auto — the cost-model planner picks). Prints one
 //       "userA userB sigma" row per pair. --sketch draws candidates from
-//       the sketch layer (same results). --explain prints the chosen
-//       plan and an estimated-vs-actual counter table as JSON instead of
-//       the pairs. --mapped opens a .stpsdb v3 snapshot via mmap (O(1)
+//       a sketch index built for the query (same results; needs an
+//       explicit algorithm — auto never uses it). --explain prints the
+//       chosen plan and an estimated-vs-actual counter table as JSON
+//       instead of the pairs. --mapped opens a .stpsdb v3 snapshot via mmap (O(1)
 //       open, pages on demand). --shards N partitions the join by user
 //       range onto N threads, whatever the algorithm (bit-identical
 //       results and counters; brute force never shards, and auto is
@@ -294,7 +295,7 @@ int CmdJoin(int argc, char** argv) {
     }
   }
   // Every algorithm but brute force shards; pin auto to S-PPJ-F so the
-  // planner cannot pick a sketch or brute-force run that ignores --shards.
+  // planner cannot pick a brute-force run that ignores --shards.
   if (options.shards > 1 && options.algorithm == JoinAlgorithm::kAuto) {
     options.algorithm = JoinAlgorithm::kSPPJF;
   }
