@@ -46,13 +46,14 @@ python3 "$ROOT/scripts/compare_bench.py" \
 
 echo "=== snapshot robustness: fuzz + mmap differential + io bench ==="
 # Bit-flip/truncation/trailing-garbage corruption fuzz, heap-vs-mapped
-# differential joins, sharded-join determinism, and the binary round
+# differential joins, sharded-join determinism, the snapshot checksums
+# (XXH64 known answers, streaming vs one-shot), and the binary round
 # trips; then the io bench smoke (cold-open + paged joins, internal
 # checksums abort on any divergence) and the committed baseline's
 # mmap-open gate.
 (cd "$ROOT/build" && \
      ctest --output-on-failure \
-         -R 'snapshot_fuzz|mapped_differential|sharded_join|binary_test')
+         -R 'snapshot_fuzz|mapped_differential|sharded_join|binary_test|checksum_test')
 cmake --build "$ROOT/build" -j --target bench_io
 "$ROOT/build/bench/bench_io" --smoke "$SMOKE_DIR/io.json"
 python3 "$ROOT/scripts/compare_bench.py" \
@@ -93,12 +94,12 @@ echo "=== ASan + UBSan ==="
 echo "=== TSan ==="
 "$ROOT/scripts/run_tsan_tests.sh" "$ROOT/build-tsan"
 
-echo "=== UBSan: boundary-adversarial oracle suite ==="
+echo "=== UBSan: boundary-adversarial oracle suite + checksum word loads ==="
 cmake -B "$ROOT/build-ubsan" -S "$ROOT" -DSTPS_UBSAN=ON
 cmake --build "$ROOT/build-ubsan" -j
 (cd "$ROOT/build-ubsan" && \
      UBSAN_OPTIONS=print_stacktrace=1 \
      ctest --output-on-failure \
-         -R 'boundary_oracle|predicates|sketch|snapshot_fuzz|mapped_differential|sharded_join')
+         -R 'boundary_oracle|predicates|sketch|snapshot_fuzz|mapped_differential|sharded_join|checksum_test')
 
 echo "=== all checks passed ==="

@@ -107,8 +107,9 @@ std::vector<ScoredUserPair> RunSTPSJoin(const ObjectDatabase& db,
                                         JoinStats* stats) {
   if (options.algorithm == JoinAlgorithm::kAuto) {
     const PhysicalPlan plan = PlanSTPSJoin(db, query, options);
+    // The plan picks the algorithm and threads; query.sketch.enabled
+    // carries through (the planner never prices sketch shapes).
     STPSQuery resolved = query;
-    resolved.sketch.enabled = plan.shape.sketch;
     resolved.parallel.num_threads = plan.shape.threads;
     resolved.parallel.grain = plan.grain;
     JoinOptions ropts = options;
@@ -193,8 +194,7 @@ std::vector<ScoredUserPair> RunTopKSTPSJoin(const ObjectDatabase& db,
                                             JoinStats* stats) {
   if (algorithm == TopKAlgorithm::kAuto) {
     const PhysicalPlan plan = PlanTopKSTPSJoin(db, query);
-    TopKQuery resolved = query;
-    resolved.sketch.enabled = plan.shape.sketch;
+    TopKQuery resolved = query;  // query.sketch.enabled carries through
     resolved.parallel.num_threads = plan.shape.threads;
     resolved.parallel.grain = plan.grain;
     std::vector<ScoredUserPair> result =

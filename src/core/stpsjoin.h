@@ -20,7 +20,7 @@ namespace stps {
 /// defers the choice to the cost-model planner (planner/planner.h):
 /// the plan decides the concrete algorithm and sequential-vs-pooled
 /// execution within the caller's thread budget (it never picks sketch
-/// candidate generation, and overrides query.sketch.enabled to off).
+/// candidate generation itself; query.sketch.enabled still applies).
 /// All strategies are exact, so kAuto returns bit-identical results to
 /// every explicit choice — only the work differs.
 enum class JoinAlgorithm {
@@ -82,8 +82,8 @@ struct JoinOptions {
 /// instead of the chosen algorithm's filter stage and are settled by the
 /// exact PPJ-B kernel: same results, same order, same scores — only the
 /// work differs (see sketch/sketch.h; JoinStats::sketch_* report the
-/// candidate flow). Brute force ignores the knob, and so does kAuto,
-/// whose plan never selects sketches.
+/// candidate flow). Brute force ignores the knob; kAuto honours it on
+/// the algorithm its plan picks.
 ///
 /// Every run — explicit algorithms included — feeds its measured
 /// JoinStats and wall-clock back into PlannerFeedback, so kAuto's cost
@@ -100,7 +100,7 @@ std::vector<ScoredUserPair> RunSTPSJoin(const ObjectDatabase& db,
 /// query.sketch.enabled, every index-based variant verifies the
 /// candidates of a per-call sketch index in count-min heavy-hitters
 /// order instead — bit-identical results, work reported via
-/// JoinStats::sketch_*. kAuto ignores the knob, as for RunSTPSJoin.
+/// JoinStats::sketch_*. kAuto honours the knob, as for RunSTPSJoin.
 std::vector<ScoredUserPair> RunTopKSTPSJoin(
     const ObjectDatabase& db, const TopKQuery& query,
     TopKAlgorithm algorithm = TopKAlgorithm::kP, JoinStats* stats = nullptr);

@@ -1,11 +1,15 @@
 #include "io/binary.h"
 
+#include <signal.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <vector>
 
@@ -272,6 +276,47 @@ Result<ObjectDatabase> ReadBinaryV2(Reader& reader, bool has_stats_block) {
   return db;
 }
 
+// True when `s` is a non-empty run of decimal digits that parses into
+// `*value` without overflow.
+bool ParseDecimal(std::string_view s, long long* value) {
+  if (s.empty() || s.front() < '0' || s.front() > '9') return false;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), *value);
+  return ec == std::errc() && end == s.data() + s.size();
+}
+
+// Unlinks every `<name>.tmp.<pid>.<n>` next to `path` (the temporaries
+// of WriteReplacing) whose writer process is gone — kill(pid, 0) fails
+// with ESRCH — so a writer killed mid-checkpoint does not leave a
+// snapshot-sized file behind for good. Temporaries of live processes
+// (this one's included) are left alone, and so is every other name.
+void RemoveStaleTemporaries(const std::string& path) {
+  namespace fs = std::filesystem;
+  const fs::path target(path);
+  const std::string prefix = target.filename().string() + ".tmp.";
+  const fs::path dir =
+      target.has_parent_path() ? target.parent_path() : fs::path(".");
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name.rfind(prefix, 0) != 0) continue;
+    const std::string_view rest = std::string_view(name).substr(prefix.size());
+    const size_t dot = rest.find('.');
+    long long pid = 0, sequence = 0;
+    if (dot == std::string_view::npos ||
+        !ParseDecimal(rest.substr(0, dot), &pid) ||
+        !ParseDecimal(rest.substr(dot + 1), &sequence) || pid <= 0 ||
+        pid != static_cast<pid_t>(pid)) {
+      continue;
+    }
+    std::error_code status_ec;
+    if (!fs::is_regular_file(it->symlink_status(status_ec))) continue;
+    if (::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH) {
+      ::unlink(it->path().c_str());
+    }
+  }
+}
+
 // Runs `write` against a temporary file next to `path` and renames it
 // over `path` only after the writer succeeded (close-time checks
 // included), so a crash or an error mid-write leaves the previous file
@@ -279,13 +324,15 @@ Result<ObjectDatabase> ReadBinaryV2(Reader& reader, bool has_stats_block) {
 // exists but is not a regular file (a device such as /dev/full, a FIFO)
 // is written in place: there is no snapshot there to protect, and a
 // rename would replace the node itself. No fsync: the rename orders the
-// replacement against a process crash, not against power loss.
+// replacement against a process crash, not against power loss. Before
+// writing, temporaries that dead writers left next to `path` are removed.
 template <typename WriteFn>
 Status WriteReplacing(const std::string& path, WriteFn write) {
   struct stat st = {};
   if (::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
     return write(path);
   }
+  RemoveStaleTemporaries(path);
   static std::atomic<uint64_t> counter{0};
   const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
                           "." + std::to_string(counter.fetch_add(1));

@@ -20,6 +20,12 @@
 //    layer moved to query time also carry sketch sections; both readers
 //    accept and skip them (the verified read still checksums them).
 //
+// Checksums: the v2 stream is FNV-1a throughout. In v3 the header and
+// section-table checksums are FNV-1a; section payloads and the trailing
+// whole-file word use XXH64 when header flag bit 2 is set (every file
+// written now) and FNV-1a in older files without it, which still read
+// and verify. Unknown header flag bits are rejected as corruption.
+//
 // WriteBinary defaults to v3; pass SnapshotFormat::kV2Stream for the
 // legacy stream. ReadBinary dispatches on the magic, so existing callers
 // read either format transparently.
@@ -45,7 +51,9 @@ enum class SnapshotFormat {
 /// to a temporary file next to `path` that is renamed over it only after
 /// a successful close, so a crash or error mid-write never tears the
 /// file already at `path` (no fsync: power-loss durability is not
-/// promised). A crash can leave the temporary (`path`.tmp.*) behind.
+/// promised). A crash leaves its temporary (`path`.tmp.<pid>.<n>) behind
+/// until the next write to `path`, which first removes the temporaries
+/// of processes that no longer exist.
 Status WriteBinary(const ObjectDatabase& db, const std::string& path,
                    SnapshotFormat format = SnapshotFormat::kV3Arena);
 

@@ -2,11 +2,20 @@
 // 64-byte-aligned arena addressed entirely by offsets, so a reader can
 // mmap the file and point the in-memory columns straight at it.
 //
-//   HeaderV3 (112 bytes, at offset 0)
-//   SectionEntry[section_count] (40 bytes each, at header.table_offset)
+//   HeaderV3 (112 bytes, at offset 0; header_checksum: FNV-1a)
+//   SectionEntry[section_count] (40 bytes each, at header.table_offset;
+//       each entry's checksum: payload sum over that section's bytes)
 //   u64 table_checksum (FNV-1a over the table bytes)
 //   sections, each zero-padded up to 64-byte alignment
-//   u64 file_checksum (FNV-1a over bytes [0, file_size - 8))
+//   u64 file_checksum (payload sum over bytes [0, file_size - 8))
+//
+// The "payload sum" is XXH64 (seed 0) when header flag bit 2
+// (kFlagXxh64) is set — every writer since the switch sets it — and
+// FNV-1a in older files without the bit, which still read and verify
+// (PayloadSum() below is the one place that choice is made). The header
+// and table checksums stay FNV-1a in every file: they are small, and the
+// header checksum protects the flag itself, so it must be checkable
+// before the flag is trusted. The v2 stream keeps FNV-1a throughout.
 //
 // Conventions:
 //  * Everything is little-endian; the format refuses to build on
@@ -38,7 +47,8 @@ static_assert(std::endian::native == std::endian::little,
 inline constexpr char kMagicV3[8] = {'S', 'T', 'P', 'S', 'D', 'B', '0', '3'};
 inline constexpr size_t kV3Alignment = 64;
 
-/// Incremental FNV-1a, the same function the v2 stream uses.
+/// Incremental FNV-1a: the v2 stream's checksum, the v3 header and table
+/// checksums, and the v3 payload sum of files without kFlagXxh64.
 inline uint64_t FnvUpdate(uint64_t hash, const void* data, size_t size) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   for (size_t i = 0; i < size; ++i) {
@@ -52,6 +62,29 @@ inline constexpr uint64_t kFnvSeed = 0xCBF29CE484222325ULL;
 inline uint64_t Fnv(const void* data, size_t size) {
   return FnvUpdate(kFnvSeed, data, size);
 }
+
+/// XXH64 with seed 0, per the published xxHash specification: four
+/// 64-bit lanes over 32-byte stripes, then 8/4/1-byte tails and the
+/// final avalanche (io/format_v3.cc). Portable (memcpy word loads, no
+/// intrinsics); it hashes a 64-bit word per multiply where FNV-1a hashes
+/// a byte. The digest is part of the v3 on-disk contract (kFlagXxh64).
+uint64_t Xxh64(const void* data, size_t size);
+
+/// Streaming XXH64 (seed 0): Update in pieces of any size, Digest at any
+/// point; the digest equals Xxh64 over the concatenated pieces. Buffers
+/// at most one partial 32-byte stripe between calls.
+class Xxh64Stream {
+ public:
+  Xxh64Stream();
+  void Update(const void* data, size_t size);
+  uint64_t Digest() const;
+
+ private:
+  uint64_t lanes_[4];
+  uint64_t total_ = 0;
+  unsigned char buffer_[32] = {};
+  size_t buffered_ = 0;
+};
 
 /// True when `v` survives a cast to the 32-bit on-disk field. The v2
 /// stream and the v3 CSR begin-arrays both store 32-bit counts; writers
@@ -99,7 +132,8 @@ enum SectionKind : uint32_t {
 struct HeaderV3 {
   char magic[8];        // kMagicV3
   uint64_t file_size;   // exact file size in bytes, checksum included
-  uint64_t flags;       // bit 0: planner stats, bit 1: legacy sketches
+  uint64_t flags;       // bit 0: planner stats, bit 1: legacy sketches,
+                        // bit 2: XXH64 payload sums (else FNV-1a)
   uint64_t num_users;
   uint64_t num_objects;
   uint64_t num_dict_tokens;
@@ -113,6 +147,17 @@ static_assert(sizeof(HeaderV3) == 112);
 
 inline constexpr uint64_t kFlagPlannerStats = 1ull << 0;
 inline constexpr uint64_t kFlagSketches = 1ull << 1;  // legacy, read-only
+inline constexpr uint64_t kFlagXxh64 = 1ull << 2;     // set by every writer
+/// Readers refuse any other bit: a file from a newer writer would
+/// otherwise be verified, or trust-loaded, under rules it does not follow.
+inline constexpr uint64_t kKnownFlags =
+    kFlagPlannerStats | kFlagSketches | kFlagXxh64;
+
+/// The checksum of section payloads and of the trailing whole-file word,
+/// chosen by the header flags: XXH64 under kFlagXxh64, FNV-1a otherwise.
+inline uint64_t PayloadSum(uint64_t flags, const void* data, size_t size) {
+  return (flags & kFlagXxh64) != 0 ? Xxh64(data, size) : Fnv(data, size);
+}
 
 /// One section-table row.
 struct SectionEntry {
@@ -121,7 +166,7 @@ struct SectionEntry {
   uint64_t offset;    // absolute, kV3Alignment-aligned
   uint64_t size;      // payload bytes == count * ElementSize(kind)
   uint64_t count;     // element count
-  uint64_t checksum;  // FNV-1a over the payload bytes
+  uint64_t checksum;  // PayloadSum over the payload bytes
 };
 static_assert(sizeof(SectionEntry) == 40);
 

@@ -29,7 +29,7 @@ uint64_t RoundUp(uint64_t v, uint64_t align) {
 }
 
 // Sequential file writer tracking position and the running whole-file
-// FNV; deferred write errors (ENOSPC) fold into ok() at Finish.
+// XXH64; deferred write errors (ENOSPC) fold into ok() at Finish.
 class StreamOut {
  public:
   explicit StreamOut(const std::string& path)
@@ -39,7 +39,7 @@ class StreamOut {
 
   void Write(const void* p, size_t n) {
     out_.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
-    fnv_ = FnvUpdate(fnv_, p, n);
+    sum_.Update(p, n);
     pos_ += n;
   }
 
@@ -53,7 +53,7 @@ class StreamOut {
   }
 
   uint64_t pos() const { return pos_; }
-  uint64_t fnv() const { return fnv_; }
+  uint64_t sum() const { return sum_.Digest(); }
 
   // Writes the trailing checksum (not part of the hashed range), then
   // flushes and closes so ok() reflects deferred errors.
@@ -65,7 +65,7 @@ class StreamOut {
 
  private:
   std::ofstream out_;
-  uint64_t fnv_ = kFnvSeed;
+  Xxh64Stream sum_;
   uint64_t pos_ = 0;
 };
 
@@ -118,6 +118,9 @@ Status ParseArena(const char* data, size_t size, ParsedArena* out) {
   }
   if (Fnv(data, offsetof(HeaderV3, header_checksum)) != h.header_checksum) {
     return Status::Corruption("header checksum mismatch");
+  }
+  if ((h.flags & ~kKnownFlags) != 0) {
+    return Status::Corruption("unknown header flags");
   }
   if (h.file_size != size) {
     return Status::Corruption("file size disagrees with header");
@@ -306,6 +309,10 @@ Status SnapshotLoader::Write(const ObjectDatabase& db,
     add(kSecPlannerStats, stats_block.bytes().data(), 1);
   }
 
+  // Every new file carries XXH64 payload sums (see PayloadSum).
+  const uint64_t flags =
+      kFlagXxh64 | (db.has_planner_stats() ? kFlagPlannerStats : 0);
+
   // Precompute the layout, then stream it out in one pass.
   const uint64_t table_offset = sizeof(HeaderV3);
   const uint64_t table_bytes = payloads.size() * sizeof(SectionEntry);
@@ -319,7 +326,7 @@ Status SnapshotLoader::Write(const ObjectDatabase& db,
     e.offset = cursor;
     e.count = p.count;
     e.size = p.count * ElementSize(p.kind);
-    e.checksum = Fnv(p.data, static_cast<size_t>(e.size));
+    e.checksum = PayloadSum(flags, p.data, static_cast<size_t>(e.size));
     entries.push_back(e);
     cursor += e.size;
   }
@@ -328,7 +335,7 @@ Status SnapshotLoader::Write(const ObjectDatabase& db,
   HeaderV3 header = {};
   std::memcpy(header.magic, kMagicV3, sizeof(kMagicV3));
   header.file_size = file_size;
-  header.flags = db.has_planner_stats() ? kFlagPlannerStats : 0;
+  header.flags = flags;
   header.num_users = nu;
   header.num_objects = n;
   header.num_dict_tokens = nd;
@@ -355,7 +362,7 @@ Status SnapshotLoader::Write(const ObjectDatabase& db,
     out.Write(payloads[i].data, static_cast<size_t>(entries[i].size));
   }
   STPS_CHECK(out.pos() == file_size - sizeof(uint64_t));
-  out.Finish(out.fnv());
+  out.Finish(out.sum());
   if (!out.ok()) {
     return Status::IOError("write failed: " + path);
   }
@@ -381,13 +388,14 @@ Result<ObjectDatabase> SnapshotLoader::Load(std::shared_ptr<const void> owner,
     for (uint32_t kind = 1; kind <= kSecMaxKind; ++kind) {
       if (!a.present[kind]) continue;
       const SectionEntry& e = a.sec[kind];
-      if (Fnv(data + e.offset, static_cast<size_t>(e.size)) != e.checksum) {
+      if (PayloadSum(h.flags, data + e.offset, static_cast<size_t>(e.size)) !=
+          e.checksum) {
         return Status::Corruption("section checksum mismatch");
       }
     }
     uint64_t trailing = 0;
     std::memcpy(&trailing, data + size - sizeof(trailing), sizeof(trailing));
-    if (Fnv(data, size - sizeof(trailing)) != trailing) {
+    if (PayloadSum(h.flags, data, size - sizeof(trailing)) != trailing) {
       return Status::Corruption("file checksum mismatch");
     }
   }

@@ -62,8 +62,8 @@ struct PhysicalPlan {
 /// passes through. `options.algorithm` is ignored (the planner chooses).
 /// Sketch shapes are never considered: their index is built per query
 /// (sketch/sketch_join.cc) and prices above S-PPJ-F even without that
-/// build. A sketch run needs an explicit algorithm plus
-/// query.sketch.enabled; under kAuto the plan's shape decides.
+/// build. A sketch run is requested with query.sketch.enabled, which
+/// RunSTPSJoin honours under kAuto too (on the planned algorithm).
 PhysicalPlan PlanSTPSJoin(const ObjectDatabase& db, const STPSQuery& query,
                           const JoinOptions& options = {});
 

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -446,6 +447,101 @@ TEST(BinaryIoTest, NewV3FilesCarryNoSketchSections) {
   std::remove(path.c_str());
 }
 
+// A fresh v3 file announces XXH64 payload sums (flags bit 2), its
+// section and trailing checksums are XXH64, and the verified read
+// catches a one-byte flip in a section payload, in alignment padding
+// and in the trailing checksum word.
+TEST(BinaryIoTest, NewV3FilesUseXxh64AndEveryByteIsVerified) {
+  const ObjectDatabase db = BuildRandomDatabase(RandomDbSpec{});
+  const std::string path = TempPath("xxh64.stpsdb");
+  ASSERT_TRUE(WriteBinary(db, path).ok());
+  const std::string bytes = ReadFileBytes(path);
+  const HeaderV3 h = ParseHeader(bytes);
+  EXPECT_NE(h.flags & kFlagXxh64, 0u);
+  const SectionEntry tokens = FindSection(bytes, kSecTokenData);
+  ASSERT_GT(tokens.size, 0u);
+  EXPECT_EQ(tokens.checksum,
+            Xxh64(bytes.data() + tokens.offset, tokens.size));
+  uint64_t trailing = 0;
+  std::memcpy(&trailing, bytes.data() + bytes.size() - 8, 8);
+  EXPECT_EQ(trailing, Xxh64(bytes.data(), bytes.size() - 8));
+
+  // The first section whose payload does not end on the alignment leaves
+  // padding before the next one.
+  size_t padding = 0;
+  for (uint32_t kind = kSecUserBegin; kind < kSecDictFreq; ++kind) {
+    const SectionEntry e = FindSection(bytes, kind);
+    if ((e.offset + e.size) % kV3Alignment != 0) {
+      padding = static_cast<size_t>(e.offset + e.size);
+      break;
+    }
+  }
+  ASSERT_GT(padding, 0u);
+  const struct {
+    size_t position;
+    const char* message;
+  } flips[] = {
+      {static_cast<size_t>(tokens.offset + tokens.size / 2),
+       "section checksum mismatch"},
+      {padding, "file checksum mismatch"},
+      {bytes.size() - 3, "file checksum mismatch"},
+  };
+  for (const auto& flip : flips) {
+    std::string flipped = bytes;
+    flipped[flip.position] = static_cast<char>(flipped[flip.position] ^ 0x01);
+    const std::string flipped_path = TempPath("xxh64_flip.stpsdb");
+    WriteFileBytes(flipped_path, flipped);
+    const Result<ObjectDatabase> heap = ReadBinary(flipped_path);
+    ASSERT_FALSE(heap.ok()) << "byte " << flip.position;
+    EXPECT_EQ(heap.status().message(), flip.message);
+    Result<MappedSnapshot> snapshot = MappedSnapshot::Open(flipped_path);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    const Result<ObjectDatabase> verified = snapshot.value().LoadVerified();
+    ASSERT_FALSE(verified.ok()) << "byte " << flip.position;
+    EXPECT_EQ(verified.status().message(), flip.message);
+    std::remove(flipped_path.c_str());
+  }
+  std::remove(path.c_str());
+}
+
+// Files written before XXH64 (no flags bit 2) keep FNV-1a payload sums.
+TEST(BinaryIoTest, LegacyFixtureKeepsFnvPayloadSums) {
+  const std::string bytes = ReadFileBytes(kLegacySketchFixture);
+  ASSERT_GE(bytes.size(), sizeof(HeaderV3));
+  EXPECT_EQ(ParseHeader(bytes).flags & kFlagXxh64, 0u);
+  const SectionEntry tokens = FindSection(bytes, kSecTokenData);
+  EXPECT_EQ(tokens.checksum, Fnv(bytes.data() + tokens.offset, tokens.size));
+  uint64_t trailing = 0;
+  std::memcpy(&trailing, bytes.data() + bytes.size() - 8, 8);
+  EXPECT_EQ(trailing, Fnv(bytes.data(), bytes.size() - 8));
+}
+
+// A header flag bit this reader does not know (here bit 3, with the
+// header checksum resealed) is corruption for both readers: the file
+// follows rules this reader cannot check.
+TEST(BinaryIoTest, UnknownHeaderFlagsRejected) {
+  const ObjectDatabase db = BuildRandomDatabase(RandomDbSpec{});
+  const std::string path = TempPath("unknown_flags.stpsdb");
+  ASSERT_TRUE(WriteBinary(db, path).ok());
+  std::string bytes = ReadFileBytes(path);
+  HeaderV3 h = ParseHeader(bytes);
+  h.flags |= 1ull << 3;
+  h.header_checksum = Fnv(&h, offsetof(HeaderV3, header_checksum));
+  std::memcpy(bytes.data(), &h, sizeof(h));
+  WriteFileBytes(path, bytes);
+
+  const Result<MappedSnapshot> snapshot = MappedSnapshot::Open(path);
+  ASSERT_FALSE(snapshot.ok());
+  EXPECT_EQ(snapshot.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(snapshot.status().message(), "unknown header flags");
+  EXPECT_FALSE(ReadBinaryMapped(path).ok());
+  const Result<ObjectDatabase> heap = ReadBinary(path);
+  ASSERT_FALSE(heap.ok());
+  EXPECT_EQ(heap.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(heap.status().message(), "unknown header flags");
+  std::remove(path.c_str());
+}
+
 // A checkpoint killed mid-write must leave the previous snapshot intact:
 // WriteBinary writes a temporary next to the target and renames it into
 // place only after a successful close. A child process rewrites a large
@@ -480,6 +576,44 @@ TEST(BinaryIoTest, KilledRewriteLeavesLastSnapshotReadable) {
                           << r.status().ToString();
       EXPECT_EQ(r.value().num_objects(), db.num_objects());
     }
+    // The killed writers' temporaries go with the next checkpoint.
+    ASSERT_TRUE(WriteBinary(db, path, format).ok());
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      names.push_back(entry.path().filename().string());
+    }
+    EXPECT_EQ(names, std::vector<std::string>{"snap.stpsdb"});
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Stale-temporary cleanup removes only `<name>.tmp.<pid>.<n>` files of
+// dead processes: a live writer's temporary (here this process's) and
+// names outside the pattern stay.
+TEST(BinaryIoTest, WriteRemovesOnlyDeadWritersTemporaries) {
+  const ObjectDatabase db = BuildRandomDatabase(RandomDbSpec{});
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "stale_temporaries";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const pid_t dead = ::fork();
+  ASSERT_GE(dead, 0);
+  if (dead == 0) ::_exit(0);
+  ASSERT_EQ(::waitpid(dead, nullptr, 0), dead);
+  const std::string live = std::to_string(::getpid());
+  const std::vector<std::string> kept = {
+      "snap.stpsdb.tmp." + live + ".999",   // live writer
+      "snap.stpsdb.tmp.notes",              // not a temporary name
+      "snap.stpsdb.tmp." + std::to_string(dead) + ".x",  // malformed
+      "other.stpsdb.tmp." + std::to_string(dead) + ".0",  // other target
+  };
+  const std::string stale = "snap.stpsdb.tmp." + std::to_string(dead) + ".3";
+  for (const std::string& name : kept) WriteFileBytes((dir / name).string(), "x");
+  WriteFileBytes((dir / stale).string(), "partial snapshot");
+  ASSERT_TRUE(WriteBinary(db, (dir / "snap.stpsdb").string()).ok());
+  EXPECT_FALSE(std::filesystem::exists(dir / stale));
+  for (const std::string& name : kept) {
+    EXPECT_TRUE(std::filesystem::exists(dir / name)) << name;
   }
   std::filesystem::remove_all(dir);
 }

@@ -121,6 +121,42 @@ TEST_P(PlannerDifferentialTest, AutoTopKMatchesBruteForce) {
   }
 }
 
+// kAuto never plans a sketch shape, but a query that asks for sketches
+// gets them on the planned algorithm: sketch candidates flow, and the
+// results are those of the sketch-off run.
+TEST(PlannerSketchTest, AutoHonoursTheSketchKnob) {
+  PlannerFeedback::Global().Reset();
+  const ObjectDatabase db = BuildRandomDatabase(RandomDbSpec{});
+  for (const int threads : {1, 2}) {
+    STPSQuery query{0.1, 0.3, 0.2};
+    query.parallel = ParallelOptions{threads, 0};
+    JoinOptions options;
+    options.algorithm = JoinAlgorithm::kAuto;
+    JoinStats plain_stats;
+    const auto plain = RunSTPSJoin(db, query, options, &plain_stats);
+    query.sketch.enabled = true;
+    JoinStats sketch_stats;
+    const auto sketched = RunSTPSJoin(db, query, options, &sketch_stats);
+    EXPECT_FALSE(plain.empty());
+    EXPECT_EQ(plain_stats.sketch_candidate_pairs, 0u);
+    EXPECT_GT(sketch_stats.sketch_candidate_pairs, 0u) << threads;
+    EXPECT_TRUE(SameResults(plain, sketched, 0.0)) << threads;
+
+    TopKQuery topk{0.1, 0.3, 5};
+    topk.parallel = ParallelOptions{threads, 0};
+    JoinStats topk_plain_stats;
+    const auto plain_topk =
+        RunTopKSTPSJoin(db, topk, TopKAlgorithm::kAuto, &topk_plain_stats);
+    topk.sketch.enabled = true;
+    JoinStats topk_sketch_stats;
+    const auto sketched_topk =
+        RunTopKSTPSJoin(db, topk, TopKAlgorithm::kAuto, &topk_sketch_stats);
+    EXPECT_EQ(topk_plain_stats.sketch_candidate_pairs, 0u);
+    EXPECT_GT(topk_sketch_stats.sketch_candidate_pairs, 0u) << threads;
+    EXPECT_TRUE(SameResults(plain_topk, sketched_topk, 0.0)) << threads;
+  }
+}
+
 // Even with the feedback map poisoned to prefer each shape in turn, kAuto
 // stays exact — the planner can choose badly, never wrongly.
 TEST(PlannerSteeringTest, PoisonedFeedbackNeverChangesResults) {

@@ -186,6 +186,7 @@ TEST_F(ServerTest, JoinTopKProbeMatchLibraryCalls) {
   EXPECT_EQ(client.Query("JOIN 0.15 0.25 0.2 ALGO sppjf"), join_expected);
   // kAuto, sketch, and threaded runs return identical rows (exactness).
   EXPECT_EQ(client.Query("JOIN 0.15 0.25 0.2"), join_expected);
+  EXPECT_EQ(client.Query("JOIN 0.15 0.25 0.2 SKETCH"), join_expected);
   EXPECT_EQ(client.Query("JOIN 0.15 0.25 0.2 ALGO sppjb SKETCH THREADS 2"),
             join_expected);
   EXPECT_EQ(client.Query("TOPK 0.15 0.25 5 ALGO p"), topk_expected);

@@ -10,8 +10,8 @@
 //       Run STPSJoin (algorithm: auto | sppjc | sppjb | sppjf | sppjd |
 //       brute; default auto — the cost-model planner picks). Prints one
 //       "userA userB sigma" row per pair. --sketch draws candidates from
-//       a sketch index built for the query (same results; needs an
-//       explicit algorithm — auto never uses it). --explain prints the
+//       a sketch index built for the query (same results; under auto
+//       it replaces the planned algorithm's filter). --explain prints the
 //       chosen plan and an estimated-vs-actual counter table as JSON
 //       instead of the pairs. --mapped opens a .stpsdb v3 snapshot via mmap (O(1)
 //       open, pages on demand). --shards N partitions the join by user
