@@ -20,11 +20,14 @@ echo "=== bench smoke: tiny-scale runs + baseline sanity ==="
 #   scripts/compare_bench.py BENCH_spatial.json /tmp/new.json
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
-cmake --build "$ROOT/build" -j --target bench_spatial bench_kernels bench_sketch bench_planner
+cmake --build "$ROOT/build" -j --target bench_spatial bench_kernels bench_sketch bench_planner bench_ablation_partitioning
 "$ROOT/build/bench/bench_spatial" --smoke "$SMOKE_DIR/spatial.json"
 "$ROOT/build/bench/bench_kernels" --smoke "$SMOKE_DIR/kernels.json"
 "$ROOT/build/bench/bench_sketch" --smoke "$SMOKE_DIR/sketch.json"
 "$ROOT/build/bench/bench_planner" --smoke "$SMOKE_DIR/planner.json"
+# S-PPJ-D over R-tree and quadtree leaves must return S-PPJ-F's result
+# pair for pair (the driver exits 1 otherwise).
+"$ROOT/build/bench/bench_ablation_partitioning" 120
 python3 "$ROOT/scripts/compare_bench.py" --require 'high_density_speedup>=1.5' \
     "$ROOT/BENCH_spatial.json" "$ROOT/BENCH_spatial.json"
 python3 "$ROOT/scripts/compare_bench.py" \

@@ -23,7 +23,7 @@ bool IsOddRow(int64_t row) { return (row % 2) == 0; }
 struct PairScratch {
   std::vector<uint8_t> matched_u;
   std::vector<uint8_t> matched_v;
-  std::vector<CellId> neighbors;
+  std::vector<int64_t> neighbors;
   std::vector<MergedPartition> merged;
 };
 
@@ -52,56 +52,86 @@ inline void PrefetchMerged(const UserLayout& cu, const UserLayout& cv,
 
 }  // namespace
 
+template <typename Neighborhood>
 double PPJCPair(const UserLayout& cu, size_t nu, const UserLayout& cv,
-                size_t nv, const GridGeometry& grid,
-                const MatchThresholds& t, JoinStats* stats,
+                size_t nv, const Neighborhood& neighborhood,
+                const MatchThresholds& t, double eps_u, JoinStats* stats,
                 size_t* matched_out) {
   if (matched_out != nullptr) *matched_out = 0;
   if (nu + nv == 0) return 0.0;
+  const bool bounded = eps_u > 0.0;
+  // Exact integer Lemma 1 budget (common/predicates.h): never prunes a
+  // pair with sigma exactly eps_u.
+  const int64_t budget = bounded ? SigmaUnmatchedBudget(nu + nv, eps_u) : 0;
   PairScratch& scratch = LocalScratch();
   std::vector<uint8_t>& matched_u = scratch.matched_u;
   std::vector<uint8_t>& matched_v = scratch.matched_v;
   matched_u.assign(nu, 0);
   matched_v.assign(nv, 0);
   uint32_t matched_total = 0;
-  std::vector<CellId>& neighbors = scratch.neighbors;
-  neighbors.reserve(9);  // 3x3 neighbourhood
+  size_t walked_objects = 0;
   MergePartitionLists(cu, cv, &scratch.merged);
   const std::vector<MergedPartition>& merged = scratch.merged;
   for (size_t idx = 0; idx < merged.size(); ++idx) {
-    const MergedPartition& cell = merged[idx];
+    const MergedPartition& part = merged[idx];
     PrefetchMerged(cu, cv, merged, idx);
     if (stats != nullptr) ++stats->cells_visited;
-    neighbors.clear();
-    grid.AppendNeighborhood(cell.id, /*include_self=*/true, &neighbors);
-    if (cell.u != nullptr) {
-      const CellBlock bu = BlockOf(cu, cell.u);
-      // Join Du_c with Dv_n for every adjacent n with id >= c.
-      for (const CellId n : neighbors) {
-        if (n < cell.id) continue;
+    const std::span<const int64_t> neighbors =
+        neighborhood(part.id, &scratch.neighbors);
+    if (part.u != nullptr) {
+      const CellBlock bu = BlockOf(cu, part.u);
+      // Join Du_p with Dv_n for every neighbour n with id >= p.
+      for (const int64_t n : neighbors) {
+        if (n < part.id) continue;
         const UserPartition* pv =
-            n == cell.id ? cell.v : FindPartition(cv, n);
+            n == part.id ? part.v : FindPartition(cv, n);
         if (pv == nullptr) continue;
         matched_total += PPJCrossMarkBatch(bu, BlockOf(cv, pv), t,
                                            &matched_u, &matched_v, stats);
       }
     }
-    if (cell.v != nullptr) {
-      const CellBlock bv = BlockOf(cv, cell.v);
-      // Join Du_n with Dv_c for every adjacent n with id > c (the id == c
-      // pair was handled above).
-      for (const CellId n : neighbors) {
-        if (n <= cell.id) continue;
+    if (part.v != nullptr) {
+      const CellBlock bv = BlockOf(cv, part.v);
+      // Join Du_n with Dv_p for every neighbour n with id > p (the
+      // id == p pair was handled above). The paper's Algorithm 3 guards
+      // the two sides with an else-if, which would skip pairs when a leaf
+      // holds objects of both users; here both sides always run.
+      for (const int64_t n : neighbors) {
+        if (n <= part.id) continue;
         const UserPartition* pu = FindPartition(cu, n);
         if (pu == nullptr) continue;
         matched_total += PPJCrossMarkBatch(BlockOf(cu, pu), bv, t,
                                            &matched_u, &matched_v, stats);
       }
     }
+    if (bounded) {
+      // Every pair involving the walked partitions has been joined, so
+      // their unmatched objects can never match later (lines 21-22 of
+      // Algorithm 3). Signed arithmetic: matches may mark objects in
+      // partitions not yet walked.
+      walked_objects += (part.u ? part.u->objects.size() : 0) +
+                        (part.v ? part.v->objects.size() : 0);
+      const int64_t unmatched_lower_bound =
+          static_cast<int64_t>(walked_objects) -
+          static_cast<int64_t>(matched_total);
+      if (unmatched_lower_bound > budget) {
+        if (stats != nullptr) ++stats->refine_early_stops;
+        return 0.0;
+      }
+    }
   }
   if (matched_out != nullptr) *matched_out = matched_total;
   return static_cast<double>(matched_total) / static_cast<double>(nu + nv);
 }
+
+template double PPJCPair(const UserLayout&, size_t, const UserLayout&,
+                         size_t, const GridNeighborhood&,
+                         const MatchThresholds&, double, JoinStats*,
+                         size_t*);
+template double PPJCPair(const UserLayout&, size_t, const UserLayout&,
+                         size_t, const LeafNeighborhood&,
+                         const MatchThresholds&, double, JoinStats*,
+                         size_t*);
 
 double PPJBPair(const UserLayout& cu, size_t nu, const UserLayout& cv,
                 size_t nv, const GridGeometry& grid,
@@ -218,8 +248,8 @@ double PairSigma(std::span<const STObject> du, std::span<const STObject> dv,
   };
   const UserLayout cu = build(du);
   const UserLayout cv = build(dv);
-  return PPJCPair(cu, du.size(), cv, dv.size(), grid, t, nullptr,
-                  matched_out);
+  return PPJCPair(cu, du.size(), cv, dv.size(), GridNeighborhood{grid}, t,
+                  /*eps_u=*/0.0, nullptr, matched_out);
 }
 
 }  // namespace stps

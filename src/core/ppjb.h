@@ -1,9 +1,13 @@
 // Pair-level kernels: given the cell (or leaf) lists of two users, compute
 // the point-set similarity sigma(Du, Dv).
 //
-//  * PPJCPair — the non-self PPJ-C traversal (Section 4.1.1): cells in
-//    ascending id order, each cell joined with its own and higher-id
-//    adjacent cells of the other user. Always exact.
+//  * PPJCPair — the merged partition walk: the non-self PPJ-C traversal
+//    (Section 4.1.1) over grid cells, and PPJ-D (Algorithm 3) over leaves.
+//    Partitions in ascending id order, each joined with its own and
+//    higher-id neighbours of the other user. With eps_u > 0 it adds PPJ-D's
+//    Lemma 1 stop: once a partition is walked, every pair involving the
+//    walked partitions has been joined, so their unmatched objects stay
+//    unmatched. PPJ-C passes eps_u = 0 and is always exact.
 //  * PPJBPair — the PPJ-B traversal (Section 4.1.2, Figure 2b): rows
 //    bottom-up; odd rows join all neighbours but East, even rows only West
 //    (and self); at the end of every odd row (or across an empty-row gap)
@@ -28,15 +32,21 @@
 
 namespace stps {
 
-/// Exact sigma via the PPJ-C cell traversal.
-/// `cu` / `cv` are the users' CSR cell layouts; `nu` / `nv` = |Du| / |Dv|.
-/// Cell-vs-cell joins run through the batched SoA mark kernel
-/// (PPJCrossMarkBatch). `stats` (optional) accrues cells_visited for the
-/// merged traversal plus the batch kernel counters.
+/// Sigma via the merged partition walk over `neighborhood`
+/// (GridNeighborhood: PPJ-C; LeafNeighborhood: PPJ-D). `cu` / `cv` are
+/// the users' CSR partition layouts; `nu` / `nv` = |Du| / |Dv|.
+/// Partition-vs-partition joins run through the batched SoA mark kernel
+/// (PPJCrossMarkBatch). With eps_u <= 0 the result is always exact;
+/// otherwise it is exact whenever sigma >= eps_u and 0 once the integer
+/// Lemma 1 budget (SigmaUnmatchedBudget) proves sigma < eps_u. `stats`
+/// (optional) accrues cells_visited for the merged traversal,
+/// refine_early_stops, and the batch kernel counters. Defined for
+/// GridNeighborhood and LeafNeighborhood.
+template <typename Neighborhood>
 double PPJCPair(const UserLayout& cu, size_t nu, const UserLayout& cv,
-                size_t nv, const GridGeometry& grid,
-                const MatchThresholds& t, JoinStats* stats = nullptr,
-                size_t* matched_out = nullptr);
+                size_t nv, const Neighborhood& neighborhood,
+                const MatchThresholds& t, double eps_u = 0.0,
+                JoinStats* stats = nullptr, size_t* matched_out = nullptr);
 
 /// Sigma via the PPJ-B traversal with early termination at threshold
 /// eps_u. Returns the exact sigma whenever sigma >= eps_u; returns 0 as

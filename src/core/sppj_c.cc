@@ -19,6 +19,7 @@ std::vector<ScoredUserPair> JoinEveryPair(const ObjectDatabase& db,
                                           const JoinPartition& partition) {
   if (db.num_objects() == 0) return {};
   const UserGrid grid(db, query.eps_loc);
+  const GridNeighborhood neighborhood{grid.geometry()};
   const MatchThresholds t = query.match_thresholds();
   const auto pass = [&](UserId u1, std::vector<ScoredUserPair>* out,
                         JoinStats* ws) {
@@ -35,8 +36,8 @@ std::vector<ScoredUserPair> JoinEveryPair(const ObjectDatabase& db,
       const double sigma =
           use_ppjb ? PPJBPair(cu, nu, cv, nv, grid.geometry(), t,
                               query.eps_u, ws, &matched)
-                   : PPJCPair(cu, nu, cv, nv, grid.geometry(), t, ws,
-                              &matched);
+                   : PPJCPair(cu, nu, cv, nv, neighborhood, t,
+                              /*eps_u=*/0.0, ws, &matched);
       // Membership is the exact counting predicate (common/predicates.h);
       // the double sigma is only the reported score.
       if (SigmaAtLeast(matched, nu + nv, query.eps_u)) {

@@ -1,12 +1,15 @@
-// S-PPJ-D (Section 4.1.4): filter-and-refine STPSJoin over a data-driven
-// partitioning — the leaves of an R-tree — instead of the eps_loc grid.
+// S-PPJ-D (Section 4.1.4): S-PPJ-F's filter-and-refine pass over a
+// data-driven partitioning — the leaves of an R-tree — instead of the
+// eps_loc grid.
 //
-// A spatio-textual index is built over the leaves: per leaf, the per-user
-// object lists Dl_u and an inverted list token -> users; the intersections
-// of the eps_loc-extended leaf MBRs are precomputed with a spatial join.
-// Refinement runs PPJ-D (Algorithm 3), which joins only objects inside the
-// intersection of the two extended MBRs and applies the same Lemma 1
-// early-termination bound as PPJ-B.
+// LeafPartitionIndex holds what the leaves add: per user, the leaf
+// layout Lu (the objects Dl_u of each leaf), and the leaf neighbourhood —
+// the intersections of the eps_loc-extended leaf MBRs, precomputed with a
+// spatial join. Everything else is shared with S-PPJ-F (core/sppj_f.h):
+// the spatio-textual index over the leaf layouts, the filter, and the
+// per-user pass. Refinement runs PPJ-D (Algorithm 3), the merged
+// partition walk of PPJCPair (core/ppjb.h) over the leaf neighbourhood
+// with the Lemma 1 early-termination bound.
 
 #ifndef STPS_CORE_SPPJ_D_H_
 #define STPS_CORE_SPPJ_D_H_
@@ -55,23 +58,23 @@ SpatialPartitioning RTreePartitioning(const ObjectDatabase& db, int fanout);
 SpatialPartitioning QuadTreePartitioning(const ObjectDatabase& db,
                                          int leaf_capacity);
 
-/// The leaf-level spatio-textual index S-PPJ-D operates on. Exposed so
-/// tests and benchmarks can reuse a built index across queries with the
-/// same eps_loc/fanout.
+/// The leaf partitioning S-PPJ-D operates on: per-user leaf layouts and
+/// the extended-MBR adjacency. Exposed so tests and benchmarks can reuse
+/// a built index across queries with the same eps_loc/fanout.
 class LeafPartitionIndex {
  public:
   /// Convenience: builds over RTreePartitioning(db, fanout).
   LeafPartitionIndex(const ObjectDatabase& db, double eps_loc, int fanout);
 
-  /// Builds the per-partition per-user lists, the per-partition inverted
-  /// token lists, and the extended-MBR adjacency over an arbitrary
-  /// partitioning.
+  /// Builds the per-user leaf layouts and the extended-MBR adjacency over
+  /// an arbitrary partitioning. Within a leaf, a user's objects keep the
+  /// partitioning's member order.
   LeafPartitionIndex(const ObjectDatabase& db, double eps_loc,
                      const SpatialPartitioning& partitioning);
 
   STPS_DISALLOW_COPY_AND_ASSIGN(LeafPartitionIndex);
 
-  size_t num_leaves() const { return leaf_mbrs_.size(); }
+  size_t num_leaves() const { return extended_mbrs_.size(); }
 
   /// Lu: the leaves (by ordinal) holding objects of user u, ascending,
   /// with the CSR object/coordinate arrays behind them.
@@ -80,69 +83,36 @@ class LeafPartitionIndex {
     return per_user_[u];
   }
 
+  /// Every user's leaf layout, by user id.
+  std::span<const UserLayout> layouts() const { return per_user_; }
+
   /// Ordinals of leaves whose extended MBR intersects `leaf`'s extended
   /// MBR (including `leaf` itself), ascending.
-  const std::vector<uint32_t>& RelevantLeaves(uint32_t leaf) const {
-    STPS_DCHECK(leaf < adjacency_.size());
-    return adjacency_[leaf];
+  std::span<const int64_t> RelevantLeaves(int64_t leaf) const {
+    return neighborhood()(leaf, nullptr);
   }
+
+  /// RelevantLeaves as the neighbourhood the shared passes take.
+  LeafNeighborhood neighborhood() const { return {adjacency_}; }
 
   /// The eps_loc-extended MBR of a leaf.
-  const Rect& ExtendedMbr(uint32_t leaf) const {
-    STPS_DCHECK(leaf < extended_mbrs_.size());
-    return extended_mbrs_[leaf];
-  }
-
-  /// Users (ascending) having an object with token `t` in `leaf`;
-  /// nullptr when none.
-  const std::vector<UserId>* TokenUsers(uint32_t leaf, TokenId t) const;
-
-  /// Users (ascending) having any object in `leaf`. Used by the JoinStats
-  /// spatial/textual filter breakdown.
-  const std::vector<UserId>& LeafUsers(uint32_t leaf) const {
-    STPS_DCHECK(leaf < leaf_users_.size());
-    return leaf_users_[leaf];
+  const Rect& ExtendedMbr(int64_t leaf) const {
+    STPS_DCHECK(leaf >= 0 &&
+                static_cast<size_t>(leaf) < extended_mbrs_.size());
+    return extended_mbrs_[static_cast<size_t>(leaf)];
   }
 
  private:
-  std::vector<Rect> leaf_mbrs_;
   std::vector<Rect> extended_mbrs_;
-  std::vector<std::vector<uint32_t>> adjacency_;
+  std::vector<std::vector<int64_t>> adjacency_;
   std::vector<UserLayout> per_user_;
-  std::vector<std::vector<UserId>> leaf_users_;
-  std::vector<std::unordered_map<TokenId, std::vector<UserId>>> token_users_;
 };
-
-/// PPJ-D (Algorithm 3): sigma for a user pair over the leaf partitioning,
-/// with early termination at eps_u (exact whenever sigma >= eps_u; the
-/// Lemma 1 stop uses the integer SigmaUnmatchedBudget of
-/// common/predicates.h). Leaf-vs-leaf joins run through the batched SoA
-/// mark kernel (PPJCrossMarkBatch). `stats` (optional) accrues
-/// cells_visited and refine_early_stops plus the batch kernel counters.
-/// `matched_out` (optional) receives sigma's integer numerator (0 when
-/// pruned) for exact SigmaAtLeast decisions.
-double PPJDPair(const UserLayout& lu, size_t nu, const UserLayout& lv,
-                size_t nv, const LeafPartitionIndex& index,
-                const MatchThresholds& t, double eps_u,
-                JoinStats* stats = nullptr, size_t* matched_out = nullptr);
-
-/// The S-PPJ-D filter: probes the distinct tokens of every leaf of `lu`
-/// (user u's leaves) against the inverted lists of its relevant leaves,
-/// and records in `*candidates` every user ranked before u found there,
-/// with its supporting leaves (my_cells / their_cells may hold duplicates
-/// until SortUnique). `rank` maps user id -> processing rank; empty means
-/// id order, where the ascending lists let the scan stop at u.
-/// `candidates` must have had BeginRound called. Accrues cells_visited
-/// into `*stats` when non-null. Shared by S-PPJ-D and TopKSPPJD.
-void CollectEarlierLeafCandidates(
-    const LeafPartitionIndex& index, const UserLayout& lu, UserId u,
-    std::span<const uint32_t> rank,
-    UserCandidateTable<CandidateCells>* candidates, JoinStats* stats);
 
 /// Evaluates the STPSJoin query with S-PPJ-D. Same output contract as
 /// SPPJC. Preconditions: eps_doc > 0, eps_u > 0 (see S-PPJ-F). The leaf
-/// index is built once (it is not incremental); candidates are restricted
-/// to earlier users, so every `partition` gives the same result.
+/// partitioning and its spatio-textual index are built once per query;
+/// candidates are restricted to earlier users, so every `partition` gives
+/// the same result.
 std::vector<ScoredUserPair> SPPJD(const ObjectDatabase& db,
                                   const STPSQuery& query,
                                   const SPPJDOptions& options = {},

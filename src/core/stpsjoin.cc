@@ -108,7 +108,8 @@ std::vector<ScoredUserPair> RunSTPSJoin(const ObjectDatabase& db,
   if (options.algorithm == JoinAlgorithm::kAuto) {
     const PhysicalPlan plan = PlanSTPSJoin(db, query, options);
     // The plan picks the algorithm and threads; query.sketch.enabled
-    // carries through (the planner never prices sketch shapes).
+    // carries through (the planner never prices sketch shapes, but its
+    // shape reports whether the sketch runs on the planned algorithm).
     STPSQuery resolved = query;
     resolved.parallel.num_threads = plan.shape.threads;
     resolved.parallel.grain = plan.grain;
@@ -133,16 +134,10 @@ std::vector<ScoredUserPair> RunSTPSJoin(const ObjectDatabase& db,
   // Either knob may request parallelism; take the stronger one.
   const int threads = std::max(options.threads, query.parallel.num_threads);
   // Sketch-generated candidates replace the per-algorithm filter stage
-  // for every non-brute algorithm (verification is the shared PPJ-B
-  // kernel, so results stay bit-identical). The band index is only a
-  // sound filter when a match implies a common token, i.e. eps_doc > 0
-  // with a real threshold eps_u > 0, and its verification walks the
-  // eps_loc grid, which needs eps_loc > 0; otherwise fall through to the
-  // requested algorithm unchanged.
-  const bool use_sketch = query.sketch.enabled &&
-                          options.algorithm != JoinAlgorithm::kBruteForce &&
-                          query.eps_loc > 0.0 && query.eps_doc > 0.0 &&
-                          query.eps_u > 0.0;
+  // (verification is the shared PPJ-B kernel, so results stay
+  // bit-identical); where SketchRuns says the sketch is unsound or
+  // unusable, the requested algorithm runs unchanged.
+  const bool use_sketch = SketchRuns(query, options.algorithm);
   // Sharding is a partition policy of the join executor: every non-brute
   // algorithm runs its own per-user pass over PlanUserShards ranges, one
   // worker each — built for paging over mmap'd snapshots. Results and
@@ -212,8 +207,7 @@ std::vector<ScoredUserPair> RunTopKSTPSJoin(const ObjectDatabase& db,
   // Sketch candidates with the heavy-hitters verification order stand in
   // for every index-based variant (kF/kS/kP differ only in traversal
   // order, which sketches supersede; brute force stays brute force).
-  const bool use_sketch =
-      query.sketch.enabled && algorithm != TopKAlgorithm::kBruteForce;
+  const bool use_sketch = SketchRuns(query, algorithm);
 
   const bool record = db.has_planner_stats();
   PlanShape shape;
@@ -245,6 +239,17 @@ std::vector<ScoredUserPair> RunTopKSTPSJoin(const ObjectDatabase& db,
     }
   }
   return result;
+}
+
+bool SketchRuns(const STPSQuery& query, JoinAlgorithm algorithm) {
+  STPS_DCHECK(algorithm != JoinAlgorithm::kAuto);
+  return query.sketch.enabled && algorithm != JoinAlgorithm::kBruteForce &&
+         query.eps_loc > 0.0 && query.eps_doc > 0.0 && query.eps_u > 0.0;
+}
+
+bool SketchRuns(const TopKQuery& query, TopKAlgorithm algorithm) {
+  STPS_DCHECK(algorithm != TopKAlgorithm::kAuto);
+  return query.sketch.enabled && algorithm != TopKAlgorithm::kBruteForce;
 }
 
 std::vector<ScoredUserPair> FindSimilarUsers(const ObjectDatabase& db,

@@ -105,6 +105,19 @@ std::vector<ScoredUserPair> RunTopKSTPSJoin(
     const ObjectDatabase& db, const TopKQuery& query,
     TopKAlgorithm algorithm = TopKAlgorithm::kP, JoinStats* stats = nullptr);
 
+/// Whether RunSTPSJoin answers `query` under the concrete (non-auto)
+/// `algorithm` from sketch candidates: query.sketch.enabled, a non-brute
+/// algorithm, and eps_loc, eps_doc, eps_u > 0 (the band index is a sound
+/// filter only when a match implies a common token and eps_u is a real
+/// threshold, and its verification walks the eps_loc grid). The one
+/// place this rule lives: RunSTPSJoin, the planner's reported shape and
+/// the CLI all ask it. Under kAuto the planned algorithm is the one
+/// asked about.
+bool SketchRuns(const STPSQuery& query, JoinAlgorithm algorithm);
+
+/// The top-k counterpart: query.sketch.enabled and a non-brute variant.
+bool SketchRuns(const TopKQuery& query, TopKAlgorithm algorithm);
+
 /// Single-user probe ("find users similar to u"): every user v != u with
 /// sigma(Du, Dv) >= eps_u under the query's match thresholds, scored
 /// exactly and sorted best-first under the TopKBetter total order (pairs

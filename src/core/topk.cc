@@ -33,7 +33,7 @@ std::vector<UserId> OrderBySize(const ObjectDatabase& db) {
 // s_c = |users having objects in c or an adjacent cell|.
 std::vector<UserId> OrderByPopularity(const UserGrid& grid) {
   // Occupancy: the whole-cell user lists of an index over all users.
-  const SpatioTextualGridIndex occupancy(grid);
+  const SpatioTextualGridIndex occupancy(grid.layouts());
   const size_t n = grid.num_users();
   std::vector<CellId> cells;
   for (UserId u = 0; u < n; ++u) {
@@ -77,11 +77,12 @@ std::vector<UserId> OrderByPopularity(const UserGrid& grid) {
 }
 
 // TOPK-S-PPJ-P prefilter: the number of objects of u that have a token
-// appearing, for a user ranked before u, in their own or an adjacent
-// cell — an overestimate of |M(Du, D_{U'})|. The index lists ascend by
-// rank, so checking a list's front entry suffices.
+// appearing, for a user ranked before u, in their own or a neighbouring
+// partition — an overestimate of |M(Du, D_{U'})|. The index lists ascend
+// by rank, so checking a list's front entry suffices.
+template <typename Neighborhood>
 size_t EstimateMatchableObjects(const UserLayout& cu,
-                                const GridGeometry& geometry,
+                                const Neighborhood& neighborhood,
                                 const SpatioTextualGridIndex& index,
                                 uint32_t rank_u) {
   const auto has_earlier = [&index, rank_u](std::span<const UserId> users) {
@@ -90,21 +91,19 @@ size_t EstimateMatchableObjects(const UserLayout& cu,
   size_t count = 0;
   // Hoisted per-thread scratch (runs once per probing user in the -P
   // variant, on every executor worker).
-  thread_local std::vector<CellId> neighbors;
-  thread_local std::vector<CellId> occupied;
-  for (const UserPartition& cell : cu) {
-    neighbors.clear();
-    geometry.AppendNeighborhood(cell.id, /*include_self=*/true, &neighbors);
-    // Drop neighbour cells with no objects of earlier users at all.
+  thread_local std::vector<int64_t> scratch;
+  thread_local std::vector<int64_t> occupied;
+  for (const UserPartition& part : cu) {
+    // Drop neighbours with no objects of earlier users at all.
     occupied.clear();
-    for (const CellId n : neighbors) {
+    for (const int64_t n : neighborhood(part.id, &scratch)) {
       if (has_earlier(index.CellUsers(n))) occupied.push_back(n);
     }
     if (occupied.empty()) continue;
-    for (const ObjectRef& ref : cell.objects) {
+    for (const ObjectRef& ref : part.objects) {
       bool matchable = false;
       for (const TokenId t : ref.object->doc) {
-        for (const CellId n : occupied) {
+        for (const int64_t n : occupied) {
           if (has_earlier(index.TokenUsers(n, t))) {
             matchable = true;
             break;
@@ -118,25 +117,52 @@ size_t EstimateMatchableObjects(const UserLayout& cu,
   return count;
 }
 
-// Refines u's candidates against `queue`: the sigma_bar count bound once
-// the queue is full (exact SigmaAtLeast, so a candidate that can still
-// *tie* the tail score survives and Offer settles it on the id order),
-// then the pair kernel with the queue threshold as eps_u — whose integer
-// Lemma 1 budget likewise never prunes a pair landing exactly on the
-// threshold. Any nonzero kernel return is exact, so offered pairs carry
-// exact scores. `layout(v)` is a user's partition list and
-// `verify(cv, nv, eps_u)` the kernel: grid cells with PPJ-B, or R-tree
-// leaves with PPJ-D (TopKSPPJD).
-template <typename Layout, typename Verify>
-void RefineCandidates(const ObjectDatabase& db, UserId u,
-                      const UserLayout& cu, size_t nu, const Layout& layout,
-                      const Verify& verify,
-                      UserCandidateTable<CandidateCells>* candidates,
-                      ResultQueue* queue, JoinStats* stats) {
-  if (stats != nullptr) stats->pairs_candidate += candidates->size();
-  for (const UserId candidate : candidates->SortedTouched()) {
-    CandidateCells& cells = (*candidates)[candidate];
-    const UserLayout& cv = layout(candidate);
+// One user's top-k pass over any partitioning: user order[r] against
+// `queue`. The Lemma 2 prefilter (when `lemma2`, i.e. -P), then the
+// shared filter over the users ranked before it, then refinement: the
+// sigma_bar count bound once the queue is full (exact SigmaAtLeast, so a
+// candidate that can still *tie* the tail score survives and Offer
+// settles it on the id order), then `kernel` with the queue threshold as
+// eps_u — whose integer Lemma 1 budget likewise never prunes a pair
+// landing exactly on the threshold. Any nonzero kernel return is exact,
+// so offered pairs carry exact scores. The join executor runs it against
+// a worker's local queue (the only queue on one worker).
+template <typename Neighborhood, typename Kernel>
+void TopKProcessUser(const ObjectDatabase& db,
+                     std::span<const UserLayout> layouts,
+                     const SpatioTextualGridIndex& index,
+                     const Neighborhood& neighborhood, const Kernel& kernel,
+                     bool lemma2, std::span<const UserId> order, uint32_t r,
+                     ResultQueue* queue, JoinStats* stats) {
+  const UserId u = order[r];
+  const UserLayout& cu = layouts[u];
+  const size_t nu = db.UserObjectCount(u);
+
+  // TOPK-S-PPJ-P: Lemma 2 prefilter. Valid because every earlier user u'
+  // has |Du'| <= |Du| under the ascending-size order, so the largest
+  // earlier size is the previous user's. A worker's local queue holds k
+  // real pairs, so anything below its threshold is outside the global
+  // top-k too.
+  if (lemma2 && r > 0 && queue->full()) {
+    const size_t max_prev_size = db.UserObjectCount(order[r - 1]);
+    if (max_prev_size > 0) {
+      const size_t matchable =
+          EstimateMatchableObjects(cu, neighborhood, index, r);
+      // Exact counting form of sigma_bar_u < Threshold() — ties survive.
+      if (!SigmaAtLeast(matchable + max_prev_size, nu + max_prev_size,
+                        queue->Threshold())) {
+        return;
+      }
+    }
+  }
+
+  thread_local UserCandidateTable<CandidateCells> candidates;
+  candidates.BeginRound(db.num_users());
+  CollectEarlierCandidates(neighborhood, index, cu, r, &candidates, stats);
+  if (stats != nullptr) stats->pairs_candidate += candidates.size();
+  for (const UserId candidate : candidates.SortedTouched()) {
+    CandidateCells& cells = candidates[candidate];
+    const UserLayout& cv = layouts[candidate];
     const size_t nv = db.UserObjectCount(candidate);
     const double eps_u = queue->Threshold();
     if (queue->full()) {
@@ -158,79 +184,32 @@ void RefineCandidates(const ObjectDatabase& db, UserId u,
       }
     }
     if (stats != nullptr) ++stats->pairs_verified;
-    const double sigma = verify(cv, nv, eps_u);
+    const double sigma = kernel(cu, nu, cv, nv, eps_u, stats, nullptr);
     if (sigma <= 0.0) continue;
     if (stats != nullptr) ++stats->matches_found;
     queue->Offer({std::min(u, candidate), std::max(u, candidate), sigma});
   }
 }
 
-// One user's top-k pass: user order[r] against `queue`. The Lemma 2
-// prefilter (-P), then token probing of the users ranked before it, then
-// refinement. The join executor runs it against a worker's local queue
-// (the only queue on one worker).
-void TopKProcessUser(const ObjectDatabase& db, const UserGrid& grid,
-                     const SpatioTextualGridIndex& index,
-                     const MatchThresholds& t, TopKVariant variant,
-                     std::span<const UserId> order, uint32_t r,
-                     ResultQueue* queue, JoinStats* stats) {
-  const UserId u = order[r];
-  const UserLayout& cu = grid.UserCells(u);
-  const size_t nu = db.UserObjectCount(u);
-
-  // TOPK-S-PPJ-P: Lemma 2 prefilter. Valid because every earlier user u'
-  // has |Du'| <= |Du| under the ascending-size order, so the largest
-  // earlier size is the previous user's. A worker's local queue holds k
-  // real pairs, so anything below its threshold is outside the global
-  // top-k too.
-  if (variant == TopKVariant::kP && r > 0 && queue->full()) {
-    const size_t max_prev_size = db.UserObjectCount(order[r - 1]);
-    if (max_prev_size > 0) {
-      const size_t matchable =
-          EstimateMatchableObjects(cu, grid.geometry(), index, r);
-      // Exact counting form of sigma_bar_u < Threshold() — ties survive.
-      if (!SigmaAtLeast(matchable + max_prev_size, nu + max_prev_size,
-                        queue->Threshold())) {
-        return;
-      }
-    }
-  }
-
-  thread_local UserCandidateTable<CandidateCells> candidates;
-  candidates.BeginRound(db.num_users());
-  CollectEarlierCandidates(grid.geometry(), index, cu, r, &candidates,
-                           stats);
-  RefineCandidates(
-      db, u, cu, nu,
-      [&grid](UserId v) -> const UserLayout& { return grid.UserCells(v); },
-      [&](const UserLayout& cv, size_t nv, double eps_u) {
-        return PPJBPair(cu, nu, cv, nv, grid.geometry(), t, eps_u, stats);
+// A top-k join over any partitioning: indexes the users in `order` and
+// runs TopKProcessUser for every rank on the top-k executor.
+template <typename Neighborhood, typename Kernel>
+std::vector<ScoredUserPair> TopKJoin(const ObjectDatabase& db,
+                                     const TopKQuery& query,
+                                     std::span<const UserLayout> layouts,
+                                     const Neighborhood& neighborhood,
+                                     const Kernel& kernel, bool lemma2,
+                                     std::span<const UserId> order,
+                                     JoinStats* stats,
+                                     const ParallelOptions& parallel) {
+  const SpatioTextualGridIndex index(layouts, order);
+  return ExecuteTopK(
+      order.size(), query.k, parallel,
+      [&](uint32_t r, ResultQueue* queue, JoinStats* ws) {
+        TopKProcessUser(db, layouts, index, neighborhood, kernel, lemma2,
+                        order, r, queue, ws);
       },
-      &candidates, queue, stats);
-}
-
-// One user's TopKSPPJD pass: user order[r] (rank[] inverts `order`)
-// against `queue`. The shared S-PPJ-D leaf filter over the users ranked
-// before it, then refinement with the PPJ-D kernel.
-void TopKProcessUserD(const ObjectDatabase& db,
-                      const LeafPartitionIndex& index,
-                      const MatchThresholds& t,
-                      std::span<const UserId> order,
-                      std::span<const uint32_t> rank, uint32_t r,
-                      ResultQueue* queue, JoinStats* stats) {
-  const UserId u = order[r];
-  const UserLayout& lu = index.UserLeaves(u);
-  const size_t nu = db.UserObjectCount(u);
-  thread_local UserCandidateTable<CandidateCells> candidates;
-  candidates.BeginRound(db.num_users());
-  CollectEarlierLeafCandidates(index, lu, u, rank, &candidates, stats);
-  RefineCandidates(
-      db, u, lu, nu,
-      [&index](UserId v) -> const UserLayout& { return index.UserLeaves(v); },
-      [&](const UserLayout& lv, size_t nv, double eps_u) {
-        return PPJDPair(lu, nu, lv, nv, index, t, eps_u, stats);
-      },
-      &candidates, queue, stats);
+      stats);
 }
 
 }  // namespace
@@ -249,13 +228,13 @@ std::vector<ScoredUserPair> TopKSTPSJoin(const ObjectDatabase& db,
   const std::vector<UserId> order = variant == TopKVariant::kS
                                         ? OrderByPopularity(grid)
                                         : OrderBySize(db);
-  const SpatioTextualGridIndex index(grid, order);
-  return ExecuteTopK(
-      order.size(), query.k, parallel,
-      [&](uint32_t r, ResultQueue* queue, JoinStats* ws) {
-        TopKProcessUser(db, grid, index, t, variant, order, r, queue, ws);
-      },
-      stats);
+  const auto ppjb = [&](const UserLayout& cu, size_t nu, const UserLayout& cv,
+                        size_t nv, double eps_u, JoinStats* ws,
+                        size_t* matched) {
+    return PPJBPair(cu, nu, cv, nv, grid.geometry(), t, eps_u, ws, matched);
+  };
+  return TopKJoin(db, query, grid.layouts(), GridNeighborhood{grid.geometry()},
+                  ppjb, variant == TopKVariant::kP, order, stats, parallel);
 }
 
 std::vector<ScoredUserPair> TopKSPPJD(const ObjectDatabase& db,
@@ -266,20 +245,16 @@ std::vector<ScoredUserPair> TopKSPPJD(const ObjectDatabase& db,
   STPS_CHECK(query.k > 0);
   if (db.num_objects() == 0) return {};
 
-  const LeafPartitionIndex index(db, query.eps_loc, fanout);
+  const LeafPartitionIndex leaves(db, query.eps_loc, fanout);
+  const LeafNeighborhood neighborhood = leaves.neighborhood();
   const MatchThresholds t = query.match_thresholds();
-  const std::vector<UserId> order = OrderBySize(db);
-  // The leaf index holds all users; pair-once semantics come from only
-  // accepting candidates processed earlier in the ascending-size order.
-  std::vector<uint32_t> rank(db.num_users(), 0);
-  for (uint32_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
-
-  return ExecuteTopK(
-      order.size(), query.k, parallel,
-      [&](uint32_t r, ResultQueue* queue, JoinStats* ws) {
-        TopKProcessUserD(db, index, t, order, rank, r, queue, ws);
-      },
-      stats);
+  const auto ppjd = [&](const UserLayout& lu, size_t nu, const UserLayout& lv,
+                        size_t nv, double eps_u, JoinStats* ws,
+                        size_t* matched) {
+    return PPJCPair(lu, nu, lv, nv, neighborhood, t, eps_u, ws, matched);
+  };
+  return TopKJoin(db, query, leaves.layouts(), neighborhood, ppjd,
+                  /*lemma2=*/false, OrderBySize(db), stats, parallel);
 }
 
 }  // namespace stps

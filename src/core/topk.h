@@ -46,8 +46,9 @@ std::vector<ScoredUserPair> TopKSTPSJoin(const ObjectDatabase& db,
 
 /// The R-tree-partitioned top-k variant the paper mentions but omits
 /// pseudocode for (Section 4.2.1: "the same principle can be
-/// straightforwardly applied to S-PPJ-D"): TOPK-S-PPJ-F's queue/threshold
-/// machinery over the leaf partitioning of S-PPJ-D.
+/// straightforwardly applied to S-PPJ-D"): TOPK-S-PPJ-F's per-user pass
+/// (ascending-size order, queue threshold) over the leaf partitioning of
+/// S-PPJ-D, refined with PPJ-D.
 std::vector<ScoredUserPair> TopKSPPJD(const ObjectDatabase& db,
                                       const TopKQuery& query,
                                       int fanout = 128,

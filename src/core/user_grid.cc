@@ -116,13 +116,13 @@ TokenVector DistinctTokens(std::span<const ObjectRef> objects) {
   return tokens;
 }
 
-SpatioTextualGridIndex::SpatioTextualGridIndex(const UserGrid& grid,
-                                               std::span<const UserId> order)
-    : rank_(grid.num_users(), kUnranked) {
-  // One row per (user, cell, distinct token) plus one whole-cell row per
-  // (user, cell), emitted in rank order.
+SpatioTextualGridIndex::SpatioTextualGridIndex(
+    std::span<const UserLayout> layouts, std::span<const UserId> order)
+    : rank_(layouts.size(), kUnranked) {
+  // One row per (user, partition, distinct token) plus one
+  // whole-partition row per (user, partition), emitted in rank order.
   struct Row {
-    CellId cell;
+    int64_t id;
     TokenId token;
     uint32_t rank;
   };
@@ -132,22 +132,22 @@ SpatioTextualGridIndex::SpatioTextualGridIndex(const UserGrid& grid,
     const UserId u = order[r];
     STPS_CHECK(u < rank_.size() && rank_[u] == kUnranked);
     rank_[u] = r;
-    for (const UserPartition& cell : grid.UserCells(u)) {
-      rows.push_back({cell.id, kCellToken, r});
-      DistinctTokens(cell.objects, &tokens);
+    for (const UserPartition& part : layouts[u]) {
+      rows.push_back({part.id, kCellToken, r});
+      DistinctTokens(part.objects, &tokens);
       STPS_DCHECK(tokens.empty() || tokens.back() != kCellToken);
-      for (const TokenId t : tokens) rows.push_back({cell.id, t, r});
+      for (const TokenId t : tokens) rows.push_back({part.id, t, r});
     }
   }
   std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    if (a.cell != b.cell) return a.cell < b.cell;
+    if (a.id != b.id) return a.id < b.id;
     if (a.token != b.token) return a.token < b.token;
     return a.rank < b.rank;
   });
   STPS_CHECK(rows.size() < kUnranked);
 
   const auto same_key = [](const Row& a, const Row& b) {
-    return a.cell == b.cell && a.token == b.token;
+    return a.id == b.id && a.token == b.token;
   };
   size_t keys = 0;
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -163,9 +163,9 @@ SpatioTextualGridIndex::SpatioTextualGridIndex(const UserGrid& grid,
     for (; j < rows.size() && same_key(rows[i], rows[j]); ++j) {
       users_.push_back(order[rows[j].rank]);
     }
-    size_t s = Hash(rows[i].cell, rows[i].token) & mask_;
+    size_t s = Hash(rows[i].id, rows[i].token) & mask_;
     while (slots_[s].count != 0) s = (s + 1) & mask_;
-    slots_[s] = Slot{rows[i].cell, rows[i].token,
+    slots_[s] = Slot{rows[i].id, rows[i].token,
                      static_cast<uint32_t>(j - i), begin};
     i = j;
   }
@@ -181,32 +181,32 @@ std::vector<UserId> IdentityOrder(size_t num_users) {
 
 }  // namespace
 
-SpatioTextualGridIndex::SpatioTextualGridIndex(const UserGrid& grid)
-    : SpatioTextualGridIndex(grid, IdentityOrder(grid.num_users())) {}
+SpatioTextualGridIndex::SpatioTextualGridIndex(
+    std::span<const UserLayout> layouts)
+    : SpatioTextualGridIndex(layouts, IdentityOrder(layouts.size())) {}
 
-void CollectEarlierCandidates(const GridGeometry& geometry,
+template <typename Neighborhood>
+void CollectEarlierCandidates(const Neighborhood& neighborhood,
                               const SpatioTextualGridIndex& index,
                               const UserLayout& cu, uint32_t rank_u,
                               UserCandidateTable<CandidateCells>* candidates,
                               JoinStats* stats) {
   // Hoisted per-thread scratch: this runs once per probing user.
-  thread_local std::vector<CellId> neighbors;
+  thread_local std::vector<int64_t> scratch;
   thread_local TokenVector tokens;
-  for (const UserPartition& cell : cu) {
-    DistinctTokens(cell.objects, &tokens);
-    neighbors.clear();
-    geometry.AppendNeighborhood(cell.id, /*include_self=*/true, &neighbors);
-    for (const CellId other : neighbors) {
+  for (const UserPartition& part : cu) {
+    DistinctTokens(part.objects, &tokens);
+    for (const int64_t other : neighborhood(part.id, &scratch)) {
       if (stats != nullptr) ++stats->cells_visited;
       for (const TokenId token : tokens) {
         for (const UserId candidate : index.TokenUsers(other, token)) {
           if (index.Rank(candidate) >= rank_u) break;  // lists ascend
           CandidateCells& cc = (*candidates)[candidate];
-          // Cells of u arrive in ascending order, so the back() check
-          // fully deduplicates my_cells; their_cells interleaves across
-          // the outer cell loop, so there it only limits growth.
-          if (cc.my_cells.empty() || cc.my_cells.back() != cell.id) {
-            cc.my_cells.push_back(cell.id);
+          // Partitions of u arrive in ascending order, so the back()
+          // check fully deduplicates my_cells; their_cells interleaves
+          // across the outer loop, so there it only limits growth.
+          if (cc.my_cells.empty() || cc.my_cells.back() != part.id) {
+            cc.my_cells.push_back(part.id);
           }
           if (cc.their_cells.empty() || cc.their_cells.back() != other) {
             cc.their_cells.push_back(other);
@@ -217,26 +217,39 @@ void CollectEarlierCandidates(const GridGeometry& geometry,
   }
 }
 
-size_t CountColocatedEarlierUsers(const GridGeometry& geometry,
+template <typename Neighborhood>
+size_t CountColocatedEarlierUsers(const Neighborhood& neighborhood,
                                   const SpatioTextualGridIndex& index,
-                                  const UserLayout& cu, UserId u) {
+                                  const UserLayout& cu, uint32_t rank_u) {
   // Hoisted per-thread scratch: this runs once per probing user in every
-  // S-PPJ-F driver that collects JoinStats.
+  // driver that collects JoinStats.
   thread_local UserStampSet colocated;
-  thread_local std::vector<CellId> neighbors;
+  thread_local std::vector<int64_t> scratch;
   colocated.BeginRound(index.num_users());
-  const uint32_t rank_u = index.Rank(u);
-  for (const UserPartition& cell : cu) {
-    neighbors.clear();
-    geometry.AppendNeighborhood(cell.id, /*include_self=*/true, &neighbors);
-    for (const CellId other : neighbors) {
+  for (const UserPartition& part : cu) {
+    for (const int64_t other : neighborhood(part.id, &scratch)) {
       for (const UserId candidate : index.CellUsers(other)) {
-        if (index.Rank(candidate) >= rank_u) break;  // lists ascend by rank
+        if (index.Rank(candidate) >= rank_u) break;  // lists ascend
         colocated.Insert(candidate);
       }
     }
   }
   return colocated.size();
 }
+
+template void CollectEarlierCandidates(
+    const GridNeighborhood&, const SpatioTextualGridIndex&,
+    const UserLayout&, uint32_t, UserCandidateTable<CandidateCells>*,
+    JoinStats*);
+template void CollectEarlierCandidates(
+    const LeafNeighborhood&, const SpatioTextualGridIndex&,
+    const UserLayout&, uint32_t, UserCandidateTable<CandidateCells>*,
+    JoinStats*);
+template size_t CountColocatedEarlierUsers(const GridNeighborhood&,
+                                           const SpatioTextualGridIndex&,
+                                           const UserLayout&, uint32_t);
+template size_t CountColocatedEarlierUsers(const LeafNeighborhood&,
+                                           const SpatioTextualGridIndex&,
+                                           const UserLayout&, uint32_t);
 
 }  // namespace stps

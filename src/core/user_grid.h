@@ -1,27 +1,35 @@
-// Per-user spatial partitioning structures shared by the S-PPJ-* family.
+// Spatial partitions: the one structure under the S-PPJ family.
 //
-// UserGrid materialises, for a query's eps_loc grid, the per-user cell
-// lists Cu (sorted by cell id) with the objects Du_c of each cell; the
-// PPJ-C / PPJ-B pair kernels merge two such lists. The same structure
-// doubles as the per-leaf partition lists of S-PPJ-D (ids are leaf
-// ordinals instead of grid cell ids).
+// A partition is a grid cell of the query's eps_loc grid (S-PPJ-B/C/F,
+// top-k) or a leaf of a data-driven partitioning (S-PPJ-D: R-tree or
+// quadtree leaves, ids are leaf ordinals). Per user, a UserLayout lists
+// the partitions the user occupies (the paper's Cu / Lu) with the objects
+// Du_p of each; the pair kernels merge two such lists.
 //
-// Storage is CSR: a UserLayout owns one flat, cell-grouped array of
+// Storage is CSR: a UserLayout owns one flat, partition-grouped array of
 // object refs plus SoA coordinate mirrors, and each UserPartition is just
 // a contiguous range into it. Because the database slots are Z-ordered,
 // a cell's objects are (mostly) adjacent in the source arrays too, and
-// the batched eps_loc kernels (spatial/batch.h) stream a whole cell block
-// per probe instead of chasing one STObject pointer per candidate.
+// the batched eps_loc kernels (spatial/batch.h) stream a whole block per
+// probe instead of chasing one STObject pointer per candidate.
 //
-// SpatioTextualGridIndex is the spatio-textual grid index of S-PPJ-F and
-// TOPK-S-PPJ-* (Figure 3): per occupied cell, an inverted list token ->
-// users having an object with that token in the cell. The paper fills it
-// incrementally, user by user; here it is built once per query, over all
-// users, in the query's processing order. Every list ascends in that
-// order, so a probing user sees exactly the users the incremental index
-// would hold by scanning a list until the first entry of its own rank.
-// Built once and read-only afterwards, it is shared by every executor
-// worker.
+// A neighbourhood says which partitions may hold objects within eps_loc
+// of a partition's objects (itself included): the 3x3 cell block on the
+// grid (GridNeighborhood), the leaves whose eps_loc-extended MBRs
+// intersect on a leaf partitioning (LeafNeighborhood). It is the only
+// thing the grid and leaf algorithms do differently, and every shared
+// pass takes it as a template parameter (never a virtual call: the filter
+// calls it once per partition of every probing user).
+//
+// SpatioTextualGridIndex is the spatio-textual index of S-PPJ-F, S-PPJ-D
+// and TOPK-S-PPJ-* (Figure 3): per occupied partition, an inverted list
+// token -> users having an object with that token in the partition. The
+// paper fills it incrementally, user by user; here it is built once per
+// query, over all users, in the query's processing order. Every list
+// ascends in that order, so a probing user sees exactly the users the
+// incremental index would hold by scanning a list until the first entry
+// of its own rank. Built once and read-only afterwards, it is shared by
+// every executor worker. CollectEarlierCandidates is the filter over it.
 
 #ifndef STPS_CORE_USER_GRID_H_
 #define STPS_CORE_USER_GRID_H_
@@ -41,7 +49,7 @@
 namespace stps {
 
 /// The objects of one user inside one spatial partition (grid cell or
-/// R-tree leaf). `id` is the partition id; `objects` is a view into the
+/// leaf). `id` is the partition id; `objects` is a view into the
 /// owning UserLayout's CSR ref array starting at offset `begin` (the same
 /// offset addresses the layout's xs/ys coordinate blocks). Refs carry
 /// user-local indices for matched-flag bookkeeping.
@@ -54,7 +62,7 @@ struct UserPartition {
 /// Sorted list of partitions occupied by one user (the paper's Cu / Lu).
 using UserPartitionList = std::vector<UserPartition>;
 
-/// Cell-grouped CSR layout of one user's objects: `refs` (and the aligned
+/// Partition-grouped CSR layout of one user's objects: `refs` (and the aligned
 /// coordinate mirrors `xs`/`ys`) hold the objects partition by partition
 /// in ascending partition-id order; `cells` delimits the ranges.
 /// Move-only: the partition spans point into `refs`' heap buffer, which a
@@ -106,11 +114,40 @@ class UserGrid {
     return per_user_[u];
   }
 
+  /// Every user's cell layout, by user id.
+  std::span<const UserLayout> layouts() const { return per_user_; }
+
   size_t num_users() const { return per_user_.size(); }
 
  private:
   GridGeometry geometry_;
   std::vector<UserLayout> per_user_;
+};
+
+/// The eps_loc grid's neighbourhood: a cell and its (up to 8) adjacent
+/// cells, row-major ascending. Fills the caller's scratch vector.
+struct GridNeighborhood {
+  const GridGeometry& geometry;
+
+  std::span<const int64_t> operator()(int64_t cell,
+                                      std::vector<int64_t>* scratch) const {
+    scratch->clear();
+    geometry.AppendNeighborhood(cell, /*include_self=*/true, scratch);
+    return *scratch;
+  }
+};
+
+/// A leaf partitioning's neighbourhood: precomputed per-leaf lists of the
+/// leaves whose eps_loc-extended MBRs intersect the leaf's own (itself
+/// included), ascending (LeafPartitionIndex in core/sppj_d.h).
+struct LeafNeighborhood {
+  std::span<const std::vector<int64_t>> adjacency;
+
+  std::span<const int64_t> operator()(int64_t leaf,
+                                      std::vector<int64_t>* /*scratch*/) const {
+    STPS_DCHECK(leaf >= 0 && static_cast<size_t>(leaf) < adjacency.size());
+    return adjacency[static_cast<size_t>(leaf)];
+  }
 };
 
 /// Returns |Du_p| for partition `id` in a sorted UserPartitionList, or 0
@@ -172,15 +209,9 @@ inline void MergePartitionLists(const UserLayout& cu, const UserLayout& cv,
   MergePartitionLists(cu.cells, cv.cells, out);
 }
 
-/// The objects of a possibly-absent partition (empty span for nullptr).
-inline std::span<const ObjectRef> PartitionObjects(const UserPartition* p) {
-  return p == nullptr ? std::span<const ObjectRef>() : p->objects;
-}
-
-/// The cells of u whose objects may match a candidate (my_cells) and the
-/// candidate's own supporting cells (their_cells) — the inputs of the
-/// sigma_bar count bound. Shared by the S-PPJ-F/-D filters and the top-k
-/// drivers (partition ids are cell ids or leaf ordinals alike).
+/// The partitions of u whose objects may match a candidate (my_cells) and
+/// the candidate's own supporting partitions (their_cells) — the inputs
+/// of the sigma_bar count bound. Filled by CollectEarlierCandidates.
 struct CandidateCells {
   std::vector<int64_t> my_cells;
   std::vector<int64_t> their_cells;
@@ -263,42 +294,45 @@ class UserCandidateTable {
   std::vector<V> values_;
 };
 
-/// The spatio-textual grid index of S-PPJ-F / TOPK-S-PPJ-*, built once
-/// from a UserGrid over the users of a processing order. Storage is flat:
-/// one sort of (cell, token, rank) rows fills a single UserId array, and
-/// one open-addressed (cell, token) -> range table points into it. The
-/// whole-cell user lists live in the same table under a reserved token.
-/// Every list ascends in processing order (rank), so a driver that probes
-/// for users processed before u stops each scan at the first entry with
-/// Rank >= Rank(u). Immutable after construction; safe to share across
-/// threads.
+/// The spatio-textual index of S-PPJ-F, S-PPJ-D and TOPK-S-PPJ-*, built
+/// once from the users' partition layouts over a processing order.
+/// Storage is flat: one sort of (partition, token, rank) rows fills a
+/// single UserId array, and one open-addressed (partition, token) ->
+/// range table points into it. The whole-partition user lists live in
+/// the same table under a reserved token. Every list ascends in
+/// processing order (rank), so a driver that probes for users processed
+/// before u stops each scan at the first entry with Rank >= Rank(u).
+/// Immutable after construction; safe to share across threads.
 class SpatioTextualGridIndex {
  public:
   /// Rank of a user that is not in the processing order.
   static constexpr uint32_t kUnranked = std::numeric_limits<uint32_t>::max();
 
-  /// Indexes every (cell, token) of every user in `order`, which lists
-  /// distinct users; a user's rank is its position in `order`.
-  SpatioTextualGridIndex(const UserGrid& grid, std::span<const UserId> order);
+  /// Indexes every (partition, token) of every user in `order`, which
+  /// lists distinct users; a user's rank is its position in `order`.
+  /// `layouts` holds every user's partition layout, by user id (grid
+  /// cells or leaves alike).
+  SpatioTextualGridIndex(std::span<const UserLayout> layouts,
+                         std::span<const UserId> order);
 
-  /// Indexes all users of `grid` in ascending id order (rank == id).
-  explicit SpatioTextualGridIndex(const UserGrid& grid);
+  /// Indexes all users in ascending id order (rank == id).
+  explicit SpatioTextualGridIndex(std::span<const UserLayout> layouts);
 
   /// The indexed users (ascending by rank) having an object with token
-  /// `t` in cell `cell`; empty when none.
-  std::span<const UserId> TokenUsers(CellId cell, TokenId t) const {
+  /// `t` in partition `id`; empty when none.
+  std::span<const UserId> TokenUsers(int64_t id, TokenId t) const {
     STPS_DCHECK(t != kCellToken);
-    return Find(cell, t);
+    return Find(id, t);
   }
 
   /// The indexed users (ascending by rank, one entry each) having any
-  /// object in `cell`; empty when none.
-  std::span<const UserId> CellUsers(CellId cell) const {
-    return Find(cell, kCellToken);
+  /// object in partition `id`; empty when none.
+  std::span<const UserId> CellUsers(int64_t id) const {
+    return Find(id, kCellToken);
   }
 
-  /// True when cell `cell` holds any indexed object.
-  bool CellOccupied(CellId cell) const { return !CellUsers(cell).empty(); }
+  /// True when partition `id` holds any indexed object.
+  bool CellOccupied(int64_t id) const { return !CellUsers(id).empty(); }
 
   /// The processing rank of `u`; kUnranked when u is not indexed.
   uint32_t Rank(UserId u) const {
@@ -306,34 +340,34 @@ class SpatioTextualGridIndex {
     return rank_[u];
   }
 
-  /// Size of the user-id universe (the grid's user count).
+  /// Size of the user-id universe (the number of layouts).
   size_t num_users() const { return rank_.size(); }
 
  private:
-  // The reserved token keying the whole-cell user lists.
+  // The reserved token keying the whole-partition user lists.
   static constexpr TokenId kCellToken = std::numeric_limits<TokenId>::max();
 
   // One open-addressed slot; count == 0 marks an empty slot.
   struct Slot {
-    CellId cell = 0;
+    int64_t id = 0;
     TokenId token = 0;
     uint32_t count = 0;
     uint32_t begin = 0;
   };
 
-  static size_t Hash(CellId cell, TokenId t) {
-    uint64_t h = static_cast<uint64_t>(cell) * 0x9E3779B97F4A7C15ull + t;
+  static size_t Hash(int64_t id, TokenId t) {
+    uint64_t h = static_cast<uint64_t>(id) * 0x9E3779B97F4A7C15ull + t;
     h ^= h >> 31;
     h *= 0xBF58476D1CE4E5B9ull;
     return static_cast<size_t>(h ^ (h >> 29));
   }
 
-  std::span<const UserId> Find(CellId cell, TokenId t) const {
+  std::span<const UserId> Find(int64_t id, TokenId t) const {
     if (slots_.empty()) return {};
-    for (size_t i = Hash(cell, t) & mask_;; i = (i + 1) & mask_) {
+    for (size_t i = Hash(id, t) & mask_;; i = (i + 1) & mask_) {
       const Slot& slot = slots_[i];
       if (slot.count == 0) return {};
-      if (slot.cell == cell && slot.token == t) {
+      if (slot.id == id && slot.token == t) {
         return {users_.data() + slot.begin, slot.count};
       }
     }
@@ -345,26 +379,30 @@ class SpatioTextualGridIndex {
   size_t mask_ = 0;
 };
 
-/// The S-PPJ-F filter: probes the distinct tokens of every cell of `cu`
-/// against the inverted lists of the cell and its neighbours, and records
-/// in `*candidates` every user ranked before `rank_u` found there, with
-/// its supporting cells (my_cells / their_cells may hold duplicates until
+/// The S-PPJ-F filter over any partitioning: probes the distinct tokens
+/// of every partition of `cu` against the inverted lists of the
+/// partitions in its `neighborhood`, and records in `*candidates` every
+/// user ranked before `rank_u` found there, with its supporting
+/// partitions (my_cells / their_cells may hold duplicates until
 /// SortUnique). `candidates` must have had BeginRound called. Accrues
-/// cells_visited into `*stats` when non-null. Shared by the S-PPJ-F and
-/// top-k drivers.
-void CollectEarlierCandidates(const GridGeometry& geometry,
+/// cells_visited into `*stats` when non-null. Defined for
+/// GridNeighborhood and LeafNeighborhood.
+template <typename Neighborhood>
+void CollectEarlierCandidates(const Neighborhood& neighborhood,
                               const SpatioTextualGridIndex& index,
                               const UserLayout& cu, uint32_t rank_u,
                               UserCandidateTable<CandidateCells>* candidates,
                               JoinStats* stats);
 
-/// Number of distinct indexed users ranked before u having an object in
-/// `cu`'s cells or their neighbourhood — the users that pass the spatial
-/// part of the S-PPJ-F filter for user u. Only used for the JoinStats
-/// spatial/textual breakdown.
-size_t CountColocatedEarlierUsers(const GridGeometry& geometry,
+/// Number of distinct indexed users ranked before `rank_u` having an
+/// object in `cu`'s partitions or their neighbourhood — the users that
+/// pass the spatial part of the filter. Only used for the JoinStats
+/// spatial/textual breakdown. Defined for GridNeighborhood and
+/// LeafNeighborhood.
+template <typename Neighborhood>
+size_t CountColocatedEarlierUsers(const Neighborhood& neighborhood,
                                   const SpatioTextualGridIndex& index,
-                                  const UserLayout& cu, UserId u);
+                                  const UserLayout& cu, uint32_t rank_u);
 
 }  // namespace stps
 

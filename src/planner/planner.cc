@@ -121,6 +121,8 @@ PhysicalPlan PlanSTPSJoin(const ObjectDatabase& db, const STPSQuery& query,
       std::move(shapes));
   plan.grain = query.parallel.grain;
   plan.rtree_fanout = options.rtree_fanout;
+  // The shape reports what RunSTPSJoin will execute, sketch included.
+  plan.shape.sketch = SketchRuns(query, plan.shape.join);
   uint64_t sig = kFnvOffset;
   sig = HashMix(sig, 1);  // join query tag
   sig = HashDouble(sig, query.eps_loc);
@@ -179,6 +181,7 @@ PhysicalPlan PlanTopKSTPSJoin(const ObjectDatabase& db,
                                              query.eps_doc, 0.0),
                    std::move(shapes));
   plan.grain = query.parallel.grain;
+  plan.shape.sketch = SketchRuns(query, plan.shape.topk_algorithm);
   uint64_t sig = kFnvOffset;
   sig = HashMix(sig, 2);  // top-k query tag
   sig = HashDouble(sig, query.eps_loc);

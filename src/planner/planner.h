@@ -63,11 +63,15 @@ struct PhysicalPlan {
 /// Sketch shapes are never considered: their index is built per query
 /// (sketch/sketch_join.cc) and prices above S-PPJ-F even without that
 /// build. A sketch run is requested with query.sketch.enabled, which
-/// RunSTPSJoin honours under kAuto too (on the planned algorithm).
+/// RunSTPSJoin honours under kAuto too (on the planned algorithm), so
+/// the returned shape's `sketch` is SketchRuns(query, shape.join): the
+/// shape names what RunSTPSJoin executes.
 PhysicalPlan PlanSTPSJoin(const ObjectDatabase& db, const STPSQuery& query,
                           const JoinOptions& options = {});
 
 /// Plans a top-k query; the thread budget is query.parallel.num_threads.
+/// As above, the returned shape's `sketch` is SketchRuns(query,
+/// shape.topk_algorithm).
 PhysicalPlan PlanTopKSTPSJoin(const ObjectDatabase& db,
                               const TopKQuery& query);
 

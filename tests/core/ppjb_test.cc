@@ -34,7 +34,7 @@ TEST_P(PairKernelTest, PPJCPairEqualsExactSigma) {
       const double actual =
           PPJCPair(grid.UserCells(a), db.UserObjectCount(a),
                    grid.UserCells(b), db.UserObjectCount(b),
-                   grid.geometry(), t);
+                   GridNeighborhood{grid.geometry()}, t);
       ASSERT_DOUBLE_EQ(actual, expected) << "pair " << a << "," << b;
     }
   }

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -155,6 +156,44 @@ TEST(PlannerSketchTest, AutoHonoursTheSketchKnob) {
     EXPECT_GT(topk_sketch_stats.sketch_candidate_pairs, 0u) << threads;
     EXPECT_TRUE(SameResults(plain_topk, sketched_topk, 0.0)) << threads;
   }
+}
+
+// The plan's shape names what runs: with the sketch knob on, the shape
+// the planner reports (and the CLI prints) carries the sketch exactly
+// when SketchRuns says RunSTPSJoin uses sketch candidates, and a run
+// reports sketch candidates exactly then.
+TEST(PlannerSketchTest, PlannedShapeNamesTheSketchRun) {
+  PlannerFeedback::Global().Reset();
+  const ObjectDatabase db = BuildRandomDatabase(RandomDbSpec{});
+  JoinOptions options;
+  options.algorithm = JoinAlgorithm::kAuto;
+  // eps_u = 0 makes the sketch unsound, so it never runs there.
+  for (const double eps_u : {0.2, 0.0}) {
+    STPSQuery query{0.1, 0.3, eps_u};
+    EXPECT_FALSE(PlanSTPSJoin(db, query, options).shape.sketch);
+    query.sketch.enabled = true;
+    const PhysicalPlan plan = PlanSTPSJoin(db, query, options);
+    EXPECT_EQ(plan.shape.sketch, SketchRuns(query, plan.shape.join));
+    EXPECT_EQ(plan.shape.sketch, eps_u > 0.0);
+    EXPECT_EQ(PlanShapeName(plan.shape),
+              std::string(plan.shape.sketch ? "sketch+" : "") +
+                  std::string(JoinAlgorithmName(plan.shape.join)));
+    JoinStats stats;
+    RunSTPSJoin(db, query, options, &stats);
+    EXPECT_EQ(stats.sketch_candidate_pairs > 0, plan.shape.sketch);
+  }
+  TopKQuery topk{0.1, 0.3, 5};
+  EXPECT_FALSE(PlanTopKSTPSJoin(db, topk).shape.sketch);
+  topk.sketch.enabled = true;
+  const PhysicalPlan plan = PlanTopKSTPSJoin(db, topk);
+  EXPECT_TRUE(plan.shape.sketch);
+  EXPECT_EQ(PlanShapeName(plan.shape),
+            "sketch+" + std::string(TopKAlgorithmName(
+                            plan.shape.topk_algorithm)));
+  JoinStats stats;
+  RunTopKSTPSJoin(db, topk, TopKAlgorithm::kAuto, &stats);
+  EXPECT_GT(stats.sketch_candidate_pairs, 0u);
+  PlannerFeedback::Global().Reset();
 }
 
 // Even with the feedback map poisoned to prefer each shape in turn, kAuto

@@ -311,12 +311,14 @@ int CmdJoin(int argc, char** argv) {
   Timer timer;
   const auto result = RunSTPSJoin(db, query, options, &stats);
   const double elapsed_ms = timer.ElapsedMillis();
-  const std::string executed =
-      options.algorithm == JoinAlgorithm::kAuto
-          ? PlanShapeName(plan.shape)
-          : std::string(JoinAlgorithmName(options.algorithm));
-  std::fprintf(stderr, "%s: %zu pairs in %.1f ms\n", executed.c_str(),
-               result.size(), elapsed_ms);
+  // Under auto the plan's shape is what ran (sketch included).
+  PlanShape executed = plan.shape;
+  if (options.algorithm != JoinAlgorithm::kAuto) {
+    executed.join = options.algorithm;
+    executed.sketch = SketchRuns(query, options.algorithm);
+  }
+  std::fprintf(stderr, "%s: %zu pairs in %.1f ms\n",
+               PlanShapeName(executed).c_str(), result.size(), elapsed_ms);
   if (explain) {
     std::fprintf(stderr, "%s", ExplainPlan(plan, &stats).c_str());
     PrintExplainJson("join", plan, stats, result.size(), elapsed_ms);
@@ -373,11 +375,14 @@ int CmdTopK(int argc, char** argv) {
   Timer timer;
   const auto result = RunTopKSTPSJoin(db, query, algorithm, &stats);
   const double elapsed_ms = timer.ElapsedMillis();
-  const std::string executed = algorithm == TopKAlgorithm::kAuto
-                                   ? PlanShapeName(plan.shape)
-                                   : std::string(TopKAlgorithmName(algorithm));
-  std::fprintf(stderr, "%s: %zu pairs in %.1f ms\n", executed.c_str(),
-               result.size(), elapsed_ms);
+  // Under auto the plan's shape is what ran (sketch included).
+  PlanShape executed = plan.shape;
+  if (algorithm != TopKAlgorithm::kAuto) {
+    executed.topk_algorithm = algorithm;
+    executed.sketch = SketchRuns(query, algorithm);
+  }
+  std::fprintf(stderr, "%s: %zu pairs in %.1f ms\n",
+               PlanShapeName(executed).c_str(), result.size(), elapsed_ms);
   if (explain) {
     std::fprintf(stderr, "%s", ExplainPlan(plan, &stats).c_str());
     PrintExplainJson("topk", plan, stats, result.size(), elapsed_ms);
